@@ -1,28 +1,31 @@
-"""Benchmark: single-engine serving vs. the sharded, micro-batched cluster.
+"""Benchmark: sequential engine serving vs. one engine behind a micro-batcher.
 
-The services today call one :class:`repro.api.ColocationEngine` synchronously
-with caller-sized batches — each request pays the fixed featurize/score
-invocation overhead on its own.  ``repro.cluster`` coalesces concurrent
-requests into micro-batches over hash-partitioned shards, so the PR 2–3 batch
-kernels amortise across the whole in-flight window and a skewed user mix is
-deduplicated per flush.
+The services call one :class:`repro.api.ColocationEngine` synchronously with
+caller-sized batches — each request pays the fixed featurize/score
+invocation overhead on its own.  :class:`repro.cluster.MicroBatcher`
+coalesces concurrent requests into micro-batches over the same engine, so
+the PR 2–3 batch kernels amortise across the whole in-flight window and a
+skewed user mix is deduplicated per flush.
 
 This benchmark fits a small HisRect judge, generates a seeded Zipf-skewed
 request stream (fresh query profile per request — every request carries a
-cold featurization, as in a live tweet stream) and serves the *same* sequence
-through both paths from a cold cache with the same total cache budget.  The
-cluster must reach >= 2x the single engine's throughput at 4 shards, the
-sharded engine's direct ``predict_proba`` must match the single engine's
-bit-for-bit, and the micro-batched results may drift from it only by
-last-mantissa-bit coalescing noise (<= 1e-12).
+cold featurization, as in a live tweet stream) and serves the *same*
+sequence through both paths from a cold cache with the same cache budget.
+The batched pass drives a deep copy of the judge taken before the
+sequential pass, so featurizer memos warmed by the sequential pass cannot
+fake part of the speedup.  Engine + micro-batch must reach >= 2x the
+sequential engine's throughput, the batched engine's direct
+``predict_proba`` must match the sequential engine bit-for-bit, and the
+micro-batched results may drift from it only by last-mantissa-bit
+coalescing noise (<= 1e-12).
 
 Run standalone::
 
-    PYTHONPATH=src python benchmarks/bench_sharded_serving.py
+    PYTHONPATH=src python benchmarks/bench_batched_serving.py
 
 pass ``--smoke`` (the CI invocation) for a tiny load that only exercises the
-bit-for-bit equivalence check, or run through pytest-benchmark like the other
-benchmarks.  The CLI twin is ``repro-hisrect serve-bench``.
+bit-for-bit and serve-parity checks, or run through pytest-benchmark like
+the other benchmarks.  The CLI twin is ``repro-hisrect serve-bench``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from repro.cluster.loadgen import (
     generate_requests,
 )
 
-NUM_SHARDS = 4
 TARGET_SPEEDUP = 2.0
 
 
@@ -49,16 +51,10 @@ def run(smoke: bool = False) -> str:
     )
     pipeline, dataset = fit_serving_pipeline(seed=5)
     requests = generate_requests(dataset.registry, dataset.training_corpus(), config)
-    report = compare_serving_paths(
-        pipeline,
-        requests,
-        num_shards=NUM_SHARDS,
-        cache_size=4096,
-        max_batch=256,
-    )
+    report = compare_serving_paths(pipeline, requests, cache_size=4096, max_batch=256)
     lines = [
-        f"Benchmark: single-engine vs. sharded micro-batched serving, "
-        f"{NUM_SHARDS} shards, zipf s={config.zipf_s}, "
+        f"Benchmark: sequential engine vs. engine + micro-batch serving, "
+        f"zipf s={config.zipf_s}, "
         f"{config.num_requests} requests x {config.pairs_per_request} pairs, "
         f"{config.num_users} users" + (" [smoke]" if smoke else ""),
         "",
@@ -66,16 +62,17 @@ def run(smoke: bool = False) -> str:
         "",
     ]
     if not report.exact_match:
-        raise AssertionError("sharded probabilities diverged from the single engine")
+        raise AssertionError("batched engine probabilities diverged from the single engine")
     if report.coalescing_drift > 1e-12:
         raise AssertionError(
             f"micro-batch coalescing drifted by {report.coalescing_drift:.2e} "
             "(expected last-mantissa-bit noise only)"
         )
-    # The serve-path parity suite: engine vs. sharded (bit-for-bit, decisions
-    # and thresholds included) vs. the batcher's submit_serve front door
-    # (coalescing drift only).  Any hand-forked serving logic reintroduced in
-    # one of the three paths fails here, in CI's smoke step.
+    # The serve-path parity suite: sequential engine vs. batched engine
+    # (bit-for-bit, decisions and thresholds included) vs. the batcher's
+    # submit_serve front door (coalescing drift only).  Any hand-forked
+    # serving logic reintroduced in one of the paths fails here, in CI's
+    # smoke step.
     if not report.serve_exact:
         raise AssertionError("typed serve responses diverged across the serving paths")
     if report.serve_drift > 1e-12:
@@ -85,23 +82,23 @@ def run(smoke: bool = False) -> str:
         )
     if smoke:
         lines.append(
-            "smoke run: engine/sharded/batcher parity checked (score + serve), "
+            "smoke run: engine/batcher parity checked (score + serve), "
             "speedup target not enforced"
         )
     else:
         lines.append(
-            f"headline ({NUM_SHARDS} shards, cold cache): {report.speedup:.2f}x "
+            f"headline (engine + micro-batch, cold cache): {report.speedup:.2f}x "
             f"({'meets' if report.speedup >= TARGET_SPEEDUP else 'MISSES'} the "
             f">= {TARGET_SPEEDUP:.0f}x target)"
         )
     return "\n".join(lines)
 
 
-def test_sharded_serving(benchmark):
+def test_batched_serving(benchmark):
     from conftest import run_once, save_report
 
     report = run_once(benchmark, run)
-    save_report("sharded_serving", report)
+    save_report("batched_serving", report)
     assert "meets the >= 2x target" in report
 
 
@@ -112,4 +109,4 @@ if __name__ == "__main__":
     if not smoke:
         results = pathlib.Path(__file__).parent / "results"
         results.mkdir(exist_ok=True)
-        (results / "sharded_serving.txt").write_text(report + "\n")
+        (results / "batched_serving.txt").write_text(report + "\n")

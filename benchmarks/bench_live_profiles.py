@@ -19,7 +19,7 @@ least **3x** faster than scratch.
 ``--smoke`` (the CI invocation) shrinks the workload, skips the speedup
 gate (CI machines are noisy) and instead runs the *correctness* half of the
 live-profile contract end to end: a seeded mutation sequence served through
-all four transports — engine, sharded, micro-batched, worker processes —
+all three transports — engine, micro-batched engine, worker processes —
 must agree with a freshly built single engine (bit-for-bit outside the
 batcher's 1e-12 coalescing tolerance), with cache invalidation traffic
 interleaved.
@@ -171,7 +171,7 @@ def run_incremental_vs_scratch(
 def run_transport_mutation_parity() -> dict:
     """The smoke-mode correctness half: mutate-then-score across transports."""
     from repro.api import ColocationEngine
-    from repro.cluster import MicroBatcher, ShardedEngine, WorkerPool
+    from repro.cluster import MicroBatcher, WorkerPool
     from repro.cluster.loadgen import fit_serving_pipeline
 
     pipeline, dataset = fit_serving_pipeline(seed=5)
@@ -194,43 +194,41 @@ def run_transport_mutation_parity() -> dict:
         )
 
     max_batcher_drift = 0.0
-    with ShardedEngine(pipeline, num_shards=2, cache_size=1024) as sharded:
-        with MicroBatcher(sharded, max_delay_ms=2.0, overflow="block") as batcher:
-            with WorkerPool(pipeline, num_workers=2, cache_size=1024) as pool:
-                engine = ColocationEngine(pipeline, cache_size=1024)
-                transports = {
-                    "engine": engine,
-                    "sharded": sharded,
-                    "batcher": batcher,
-                    "workers": pool,
-                }
-                profiles = dict(base_profiles)
-                for step in range(3):
-                    mutated = [int(u) for u in rng.choice(uids, size=4, replace=False)]
-                    for uid in mutated:
-                        profiles[uid] = mutate(profiles[uid], step)
-                    current = [profiles[uid] for uid in uids]
-                    pairs = [
-                        Pair(current[i], current[(i + 1 + step) % len(current)])
-                        for i in range(len(current))
-                    ]
-                    expected = fresh.predict_proba(pairs)
-                    for name, transport in transports.items():
-                        transport.invalidate(mutated)
-                        got = transport.predict_proba(pairs)
-                        if name == "batcher":
-                            max_batcher_drift = max(
-                                max_batcher_drift,
-                                float(np.max(np.abs(np.asarray(got) - expected))),
-                            )
-                            if max_batcher_drift > 1e-12:
-                                raise AssertionError(
-                                    f"batcher drifted {max_batcher_drift:.2e} from the fresh engine"
-                                )
-                        elif not np.array_equal(np.asarray(got), expected):
+    batched_engine = ColocationEngine(pipeline, cache_size=1024)
+    with MicroBatcher(batched_engine, max_delay_ms=2.0, overflow="block") as batcher:
+        with WorkerPool(pipeline, num_workers=2, cache_size=1024) as pool:
+            transports = {
+                "engine": ColocationEngine(pipeline, cache_size=1024),
+                "batcher": batcher,
+                "workers": pool,
+            }
+            profiles = dict(base_profiles)
+            for step in range(3):
+                mutated = [int(u) for u in rng.choice(uids, size=4, replace=False)]
+                for uid in mutated:
+                    profiles[uid] = mutate(profiles[uid], step)
+                current = [profiles[uid] for uid in uids]
+                pairs = [
+                    Pair(current[i], current[(i + 1 + step) % len(current)])
+                    for i in range(len(current))
+                ]
+                expected = fresh.predict_proba(pairs)
+                for name, transport in transports.items():
+                    transport.invalidate(mutated)
+                    got = transport.predict_proba(pairs)
+                    if name == "batcher":
+                        max_batcher_drift = max(
+                            max_batcher_drift,
+                            float(np.max(np.abs(np.asarray(got) - expected))),
+                        )
+                        if max_batcher_drift > 1e-12:
                             raise AssertionError(
-                                f"{name} diverged from the fresh engine after mutations"
+                                f"batcher drifted {max_batcher_drift:.2e} from the fresh engine"
                             )
+                    elif not np.array_equal(np.asarray(got), expected):
+                        raise AssertionError(
+                            f"{name} diverged from the fresh engine after mutations"
+                        )
     return {"steps": 3, "users": len(uids), "batcher_drift": max_batcher_drift}
 
 
@@ -260,8 +258,8 @@ def run(smoke: bool = False) -> str:
     if smoke:
         assert parity is not None
         lines.append(
-            "smoke run: four-transport mutate-then-score parity checked "
-            f"(engine/sharded/workers exact, batcher drift {parity['batcher_drift']:.1e} "
+            "smoke run: three-transport mutate-then-score parity checked "
+            f"(engine/workers exact, batcher drift {parity['batcher_drift']:.1e} "
             "<= 1e-12); speedup target not enforced"
         )
     else:

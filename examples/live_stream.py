@@ -13,10 +13,10 @@ machinery end to end:
    show that the revisioned cache key alone keeps the engine from serving
    the stale row — then reclaim the dead rows with ``invalidate`` /
    ``invalidate_stale`` and read the accounting;
-3. run the same mutate-invalidate-rescore loop against the sharded cluster
-   and the process-worker pool: invalidation routes to the owner shard,
-   crosses the wire to worker processes, and every transport keeps matching
-   a freshly built engine that never cached anything.
+3. run the same mutate-invalidate-rescore loop against the process-worker
+   pool: invalidation crosses the wire to the owning worker process, and
+   the pool keeps matching a freshly built engine that never cached
+   anything.
 
 Run it with::
 
@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from repro.api import ColocationEngine
-from repro.cluster import ShardedEngine, WorkerPool
+from repro.cluster import WorkerPool
 from repro.cluster.loadgen import fit_serving_pipeline
 from repro.data.records import Pair, Visit
 from repro.service import StreamScorer
@@ -105,31 +105,26 @@ def main() -> None:
         f"{swept} superseded revisions; cumulative invalidated = {info.invalidated}"
     )
 
-    # ----------------------- 3. the same loop across the cluster transports
-    print("\nMutate-invalidate-rescore across the cluster transports:")
-    with ShardedEngine(pipeline, num_shards=3, cache_size=2048) as sharded:
-        with WorkerPool(pipeline, num_workers=2, cache_size=2048) as pool:
-            for name, transport in (("sharded", sharded), ("workers", pool)):
-                live = dict(profiles)
-                for step in range(1, 3):
-                    for uid in uids[: 1 + step]:
-                        live[uid] = mutate(live[uid], step)
-                    # Routed to the owner shard / pushed over the wire to the
-                    # owning worker process; the response's cache accounting
-                    # reports the drops.
-                    transport.invalidate(uids[: 1 + step])
-                    current = [
-                        Pair(live[uids[i]], live[uids[(i + 1 + step) % len(uids)]])
-                        for i in range(len(uids))
-                    ]
-                    exact = np.array_equal(
-                        transport.predict_proba(current), fresh.predict_proba(current)
-                    )
-                    print(
-                        f"  {name}: step {step} ({1 + step} users mutated) "
-                        f"matches the fresh engine bit-for-bit: {exact}"
-                    )
-                transport.invalidate_stale()
+    # ----------------------- 3. the same loop across the worker processes
+    print("\nMutate-invalidate-rescore across the worker pool:")
+    with WorkerPool(pipeline, num_workers=2, cache_size=2048) as pool:
+        live = dict(profiles)
+        for step in range(1, 3):
+            for uid in uids[: 1 + step]:
+                live[uid] = mutate(live[uid], step)
+            # Pushed over the wire to the owning worker process; the
+            # response's cache accounting reports the drops.
+            pool.invalidate(uids[: 1 + step])
+            current = [
+                Pair(live[uids[i]], live[uids[(i + 1 + step) % len(uids)]])
+                for i in range(len(uids))
+            ]
+            exact = np.array_equal(pool.predict_proba(current), fresh.predict_proba(current))
+            print(
+                f"  workers: step {step} ({1 + step} users mutated) "
+                f"matches the fresh engine bit-for-bit: {exact}"
+            )
+        pool.invalidate_stale()
 
     print(f"\nDone in {time.perf_counter() - started:.1f}s")
 

@@ -1,7 +1,7 @@
 """Process-worker serving: the :class:`repro.cluster.WorkerPool` tier in action.
 
-Shard threads (``examples/sharded_serving.py``) amortise call overhead but
-share one GIL; the worker pool moves each shard into its own *process*, so
+One in-process engine (alone or behind a micro-batcher) shares one GIL; the
+worker pool moves each hash slice of the users into its own *process*, so
 featurization — the dominant serving cost — runs truly in parallel on
 multi-core hosts.  The script walks the tier end to end:
 

@@ -65,7 +65,7 @@ def main() -> None:
     users = sorted({p.uid for p in served_dataset.test.labeled_profiles})[:6]
     friendships = [(a, b) for i, a in enumerate(users) for b in users[i + 1 :]]
     service = FriendsNotificationService(
-        judge=served_model,
+        served_model,
         registry=served_dataset.registry,
         friendships=friendships,
         delta_t=served_dataset.delta_t,

@@ -27,9 +27,9 @@ The package is organised as:
   wraps any fitted judge behind batched prediction, a thread-safe LRU feature
   cache and typed :class:`repro.api.JudgeRequest` /
   :class:`repro.api.JudgeResponse` messages.
-* :mod:`repro.cluster` — serving at scale: the hash-partitioned
-  :class:`repro.cluster.ShardedEngine`, the request-coalescing
-  :class:`repro.cluster.MicroBatcher` and :class:`repro.cluster.ClusterMetrics`
+* :mod:`repro.cluster` — serving at scale: the request-coalescing
+  :class:`repro.cluster.MicroBatcher`, the process-worker
+  :class:`repro.cluster.WorkerPool` and :class:`repro.cluster.ClusterMetrics`
   telemetry.
 * :mod:`repro.eval` — metrics, ROC/AUC, Acc@K, ranking and clustering metrics,
   t-SNE, group-pattern case study.
@@ -53,7 +53,6 @@ __all__ = [
     "JudgeRequest",
     "JudgeResponse",
     "MicroBatcher",
-    "ShardedEngine",
 ]
 
 #: Top-level conveniences, resolved lazily to keep ``import repro`` light.
@@ -62,7 +61,6 @@ _LAZY_EXPORTS = {
     "JudgeRequest": "repro.api",
     "JudgeResponse": "repro.api",
     "MicroBatcher": "repro.cluster",
-    "ShardedEngine": "repro.cluster",
 }
 
 

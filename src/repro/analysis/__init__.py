@@ -1,6 +1,6 @@
 """``repro.analysis`` — the repo's own AST-based invariant checker.
 
-The ROADMAP's correctness contract (one decision path across the four
+The ROADMAP's correctness contract (one decision path across the three
 transports, no pickle on the wire, lock discipline around shared engine
 state, a closed trace-stage taxonomy, metric naming hygiene) used to live
 only as prose plus after-the-fact parity tests.  This package turns each

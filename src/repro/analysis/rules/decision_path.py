@@ -1,7 +1,7 @@
 """``decision-path`` — one decision path, owned by :mod:`repro.api.core`.
 
-The four serving transports (colocation engine, sharded engine,
-micro-batcher, worker gateway) must *delegate* every judgement to the one
+The three serving transports (colocation engine, micro-batcher, worker
+gateway) must *delegate* every judgement to the one
 :class:`repro.api.core.JudgementCore`; PR 5 had to un-fork serve logic that
 had been re-implemented per transport.  Three checks enforce that here:
 
@@ -27,7 +27,6 @@ from repro.analysis.source import SourceFile
 #: The transport modules the rule is scoped to (path suffixes).
 TRANSPORT_MODULES = (
     "repro/api/engine.py",
-    "repro/cluster/sharded.py",
     "repro/cluster/batcher.py",
     "repro/cluster/gateway.py",
 )

@@ -3,7 +3,7 @@
 The trace-stage taxonomy is closed: ``repro.obs.trace`` declares the
 canonical pipeline stages (``STAGES``) and store-tier events
 (``STORE_EVENTS``), and the runtime parity test ``TestTraceParity`` pins
-the four transports to it.  This rule is the static twin: every
+the three transports to it.  This rule is the static twin: every
 ``tracer.stage(...)`` / ``record_stage(...)`` / ``record_event(...)`` call
 must name a canonical member — either the ``STAGE_*`` / ``EVENT_*``
 constant (preferred) or a literal that is in the set.  PR 9 had to chase

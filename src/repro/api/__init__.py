@@ -11,7 +11,7 @@ cached API that every :mod:`repro.service` application consumes.
   cache over per-profile HisRect features, a ``probability_matrix`` that
   featurizes each profile exactly once, and cache telemetry.
 * :class:`JudgementCore` — the one decision/serve path shared by the engine,
-  :class:`repro.cluster.ShardedEngine` and
+  :class:`repro.cluster.WorkerPool` and
   :class:`repro.cluster.MicroBatcher`, parameterized on a feature-gather
   callable and a pair scorer.
 * :class:`JudgeRequest` / :class:`JudgeResponse` — typed request/response

@@ -1,8 +1,8 @@
 """:class:`JudgementCore` — the one decision/serve path behind every transport.
 
 The library serves judgement through three transports — the single
-:class:`repro.api.ColocationEngine`, the hash-partitioned
-:class:`repro.cluster.ShardedEngine`, and the request-coalescing
+:class:`repro.api.ColocationEngine`, the process-partitioned
+:class:`repro.cluster.WorkerPool`, and the request-coalescing
 :class:`repro.cluster.MicroBatcher` — and all three must agree bit-for-bit.
 Historically each transport hand-copied the decision logic (threshold rules,
 ``decide_feature_pairs`` fallbacks, non-feature-space fallbacks, per-call
@@ -15,8 +15,8 @@ logic *once* and is parameterized on the only two things that differ between
 transports:
 
 * ``gather`` — a feature-gather callable ``profiles -> (rows, stats)``.  The
-  single engine passes its LRU-backed ``_resolve_features``; the sharded
-  engine passes its thread-pool fan-out across shards.
+  single engine passes its LRU-backed ``_resolve_features``; the worker
+  pool passes its wire fan-out across worker processes.
 * ``scorer`` — a pair-scoring callable ``(left, right) -> probabilities``
   over aligned feature matrices (the engine's chunk-canonical
   ``_score_batched``).
@@ -27,8 +27,7 @@ accounting — lives here and nowhere else.
 
 Pairs resolve both sides in **one** ``gather`` call (lefts then rights,
 concatenated), so a profile appearing on both sides of a batch is featurized
-once even with caching disabled — the single-gather behavior the sharded
-engine always had, now shared by every path.
+once even with caching disabled, on every path.
 """
 
 from __future__ import annotations
@@ -95,9 +94,9 @@ class JudgementCore:
     Parameters
     ----------
     judge:
-        The judge instance that scores and decides on the feature-space path
-        (for the sharded engine this is shard 0's replica — the same instance
-        whose ``score_feature_pairs`` the scorer drives).
+        The judge instance that scores and decides — on the feature-space
+        path through ``scorer``, otherwise through its own ``predict_proba``
+        / ``predict`` / ``probability_matrix``.
     gather:
         Feature-gather callable ``profiles -> (rows, CallCacheStats)``.
     scorer:
@@ -106,11 +105,6 @@ class JudgementCore:
         The transport's explicit decision threshold; ``None`` follows the
         judge's own rule (``decide_feature_pairs`` / ``predict`` when
         available, else a 0.5 probability cut).
-    fallback_judge:
-        The judge used on non-feature-space fallback paths (``predict_proba``
-        / ``predict`` / ``probability_matrix``).  Defaults to ``judge``; the
-        sharded engine passes the caller's original judge so fallbacks never
-        route through a replica.
     """
 
     def __init__(
@@ -120,12 +114,10 @@ class JudgementCore:
         gather: FeatureGather,
         scorer: PairScorer,
         explicit_threshold: float | None = None,
-        fallback_judge=None,
     ):
         if explicit_threshold is not None and not 0.0 <= explicit_threshold <= 1.0:
             raise ConfigurationError("threshold must lie in [0, 1]")
         self.judge = judge
-        self.fallback_judge = fallback_judge if fallback_judge is not None else judge
         self.explicit_threshold = explicit_threshold
         self._gather = gather
         self._scorer = scorer
@@ -169,7 +161,7 @@ class JudgementCore:
                 left, right, _ = self.resolve_pair_features(pairs)
             with tracer.stage(STAGE_SCORE):
                 return self._scorer(left, right)
-        return np.asarray(self.fallback_judge.predict_proba(list(pairs)), dtype=float)
+        return np.asarray(self.judge.predict_proba(list(pairs)), dtype=float)
 
     def predict(self, pairs: list[Pair]) -> np.ndarray:
         """Binary co-location decisions per pair.
@@ -185,10 +177,10 @@ class JudgementCore:
                 # Non-threshold decisions still benefit from the feature cache.
                 left, right, _ = self.resolve_pair_features(pairs)
                 return np.asarray(self.judge.decide_feature_pairs(left, right), dtype=int)
-            if not self.feature_space and hasattr(self.fallback_judge, "predict"):
+            if not self.feature_space and hasattr(self.judge, "predict"):
                 # Keep the wrapped judge's own rule (e.g. a baseline's argmax
                 # equality); there is no cache to route through anyway.
-                return np.asarray(self.fallback_judge.predict(list(pairs)), dtype=int)
+                return np.asarray(self.judge.predict(list(pairs)), dtype=int)
         return (self.predict_proba(pairs) >= self.threshold).astype(int)
 
     def probability_matrix(self, profiles: list[Profile]) -> np.ndarray:
@@ -206,11 +198,11 @@ class JudgementCore:
             with tracer.stage(STAGE_SCORE):
                 probabilities = self._scorer(left, right)
             return symmetric_probability_matrix(n, index_pairs, probabilities)
-        if hasattr(self.fallback_judge, "probability_matrix"):
+        if hasattr(self.judge, "probability_matrix"):
             return np.asarray(
-                self.fallback_judge.probability_matrix(list(profiles)), dtype=float
+                self.judge.probability_matrix(list(profiles)), dtype=float
             )
-        return pairwise_probability_matrix(self.fallback_judge, list(profiles))
+        return pairwise_probability_matrix(self.judge, list(profiles))
 
     # ----------------------------------------------------------------- serving
     def serve(self, request: JudgeRequest) -> JudgeResponse:
@@ -293,9 +285,9 @@ class JudgementCore:
                 feature_segments.append((index, pairs, left, right))
             else:
                 probabilities[index] = self.predict_proba(pairs)
-                if pairs and default_rule[index] and hasattr(self.fallback_judge, "predict"):
+                if pairs and default_rule[index] and hasattr(self.judge, "predict"):
                     decisions[index] = np.asarray(
-                        self.fallback_judge.predict(pairs), dtype=int
+                        self.judge.predict(pairs), dtype=int
                     )
                 else:
                     decisions[index] = (probabilities[index] >= thresholds[index]).astype(int)

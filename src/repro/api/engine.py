@@ -16,17 +16,16 @@ stubs) still work: the engine falls back to their ``predict_proba`` and the
 generic pairwise matrix.
 
 Decision and serving logic itself lives in :class:`repro.api.JudgementCore`
-— shared verbatim with :class:`repro.cluster.ShardedEngine`, so the two
-transports cannot diverge.  The engine contributes the feature cache (its
-``_resolve_features`` is the core's ``gather``) and the chunk-canonical
-``_score_batched`` scorer.
+— shared verbatim with :class:`repro.cluster.WorkerPool` and flushed through
+by :class:`repro.cluster.MicroBatcher`, so the transports cannot diverge.
+The engine contributes the feature cache (its ``_resolve_features`` is the
+core's ``gather``) and the chunk-canonical ``_score_batched`` scorer.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -72,7 +71,7 @@ class EngineCacheInfo:
 
     @classmethod
     def merge(cls, infos: Iterable["EngineCacheInfo"]) -> "EngineCacheInfo":
-        """Aggregate shard-level snapshots into one cluster-level snapshot.
+        """Aggregate per-worker snapshots into one cluster-level snapshot.
 
         Counters, sizes and capacities sum; ``hit_rate`` derives from the
         summed counters.  An empty iterable merges to the all-zero snapshot
@@ -170,7 +169,7 @@ class ColocationEngine:
         self.cache_size = store.capacity
         self.batch_size = batch_size
         self._registry = registry
-        #: The shared decision/serve logic (one path for engine, shards and
+        #: The shared decision/serve logic (one path for engine, workers and
         #: batcher), parameterized on this engine's cache-backed gather and
         #: chunk-canonical scorer.  Validates ``threshold``.
         self._core = JudgementCore(
@@ -240,8 +239,8 @@ class ColocationEngine:
         The wrapped judge's ``featurize_profiles`` must itself tolerate the
         resulting concurrency; judges with unsynchronised internal caches
         (the HisRect featurizer) should be driven by one thread at a time,
-        which is how :class:`repro.cluster.ShardedEngine` schedules them
-        (one gather lock per judge replica).
+        which is how :class:`repro.cluster.MicroBatcher` drives them (one
+        flusher thread per engine).
         """
         rows, _ = self._resolve_features(profiles)
         return rows
@@ -363,34 +362,6 @@ class ColocationEngine:
         close = getattr(self.store, "close", None)
         if close is not None:
             close()
-
-    def export_cache(self) -> dict[ProfileKey, np.ndarray]:
-        """Deprecated: use ``engine.store.export()``.
-
-        The snapshot half of wire warm-start, kept as a shim over the store
-        so existing callers survive the extraction.
-        """
-        warnings.warn(
-            "ColocationEngine.export_cache() is deprecated; use engine.store.export()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.store.export()
-
-    def import_cache(self, rows: dict[ProfileKey, np.ndarray]) -> int:
-        """Deprecated: use ``engine.store.import_rows()``.
-
-        Imported rows count as neither hits nor misses (they were computed
-        by another engine); the hot-tier bound still applies, so importing
-        more rows than ``cache_size`` keeps only the hottest (last-iterated)
-        tail of the export.  Returns imported rows still resident.
-        """
-        warnings.warn(
-            "ColocationEngine.import_cache() is deprecated; use engine.store.import_rows()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.store.import_rows(rows)
 
     # -------------------------------------------------------------- judgement
     def _score_batched(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:

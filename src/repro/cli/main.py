@@ -11,9 +11,9 @@ Subcommands cover the common workflows without writing Python:
 * ``infer-poi``  — Acc@K POI inference of a saved pipeline on a saved dataset.
 * ``experiment`` — run one of the paper's table/figure experiments and print
   its report (the same runners the benchmark suite uses).
-* ``serve-bench`` — fit a small judge and race the single-engine serving path
-  against the sharded, micro-batched cluster on a skewed synthetic load
-  (the same harness as ``benchmarks/bench_sharded_serving.py``); with
+* ``serve-bench`` — fit a small judge and race the sequential engine against
+  one engine behind a micro-batcher on a skewed synthetic load (the same
+  harness as ``benchmarks/bench_batched_serving.py``); with
   ``--workers N`` the process-worker tier joins the race and ``--trace``
   appends per-stage latency breakdown tables.
 * ``metrics``    — trace a small serving load end-to-end and dump the
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,10 +49,6 @@ from repro.io.configs import config_to_dict
 from repro.ssl import SSLTrainingConfig
 from repro.text import SkipGramConfig
 from repro.version import __version__
-
-#: Legacy ``--mode`` values mapped onto registry judge names.
-MODE_TO_JUDGE = {"two-phase": "hisrect", "one-phase": "one-phase"}
-
 
 # ------------------------------------------------------------------- commands
 
@@ -90,28 +85,11 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _selected_judge(args: argparse.Namespace) -> str:
-    """Resolve ``--judge`` / deprecated ``--mode`` to a registry judge name."""
-    if args.mode is not None:
-        # DeprecationWarning alone is hidden by default warning filters, so
-        # CLI users also get a plain stderr notice.
-        print("warning: --mode is deprecated; use --judge hisrect / --judge one-phase", file=sys.stderr)
-        warnings.warn(
-            "--mode is deprecated; use --judge hisrect / --judge one-phase",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.judge is not None and args.judge != MODE_TO_JUDGE[args.mode]:
-            raise ReproError(f"--mode {args.mode} conflicts with --judge {args.judge}")
-        return MODE_TO_JUDGE[args.mode]
-    return args.judge or "hisrect"
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     """Train a judge selected by registry name on a saved dataset."""
     from repro.colocation.variants import PIPELINE_VARIANTS
 
-    judge_name = _selected_judge(args)
+    judge_name = args.judge
     persistable = judge_name in PIPELINE_VARIANTS
     if persistable and args.out is None:
         raise ReproError("--out is required for pipeline-backed judges")
@@ -213,7 +191,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Race single-engine vs. sharded micro-batched serving on a skewed load."""
+    """Race the sequential engine vs. micro-batched serving on a skewed load."""
     # Imported lazily: the cluster load generator pulls in the full pipeline.
     from repro.cluster.loadgen import (
         LoadConfig,
@@ -239,7 +217,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     report = compare_serving_paths(
         pipeline,
         requests,
-        num_shards=args.shards,
         cache_size=args.cache_size,
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
@@ -248,7 +225,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     print(report.format())
     if not report.exact_match:
-        print("error: sharded probabilities diverged from the single engine", file=sys.stderr)
+        print(
+            "error: batched engine probabilities diverged from the single engine",
+            file=sys.stderr,
+        )
         return 1
     if report.coalescing_drift > 1e-12:
         # The same bound the benchmark enforces: coalescing may flip the
@@ -301,14 +281,13 @@ def _traced_serve(engine, serve_requests):
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Trace a small serving load end-to-end and dump the metrics registry."""
     # Imported lazily: the cluster load generator pulls in the full pipeline.
-    from repro.api import JudgeRequest
+    from repro.api import ColocationEngine, JudgeRequest
     from repro.cluster.gateway import WorkerPool
     from repro.cluster.loadgen import (
         LoadConfig,
         fit_serving_pipeline,
         generate_requests,
     )
-    from repro.cluster.sharded import ShardedEngine
     from repro.obs import format_stage_table, tracing
 
     config = LoadConfig(
@@ -317,7 +296,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         pairs_per_request=args.pairs,
         seed=args.seed,
     )
-    tier = f"workers x{args.workers}" if args.workers > 0 else f"sharded x{args.shards}"
+    tier = f"workers x{args.workers}" if args.workers > 0 else "engine"
     print(
         f"fitting the serving judge and tracing {config.num_requests} requests "
         f"through the micro-batched {tier} tier ..."
@@ -334,10 +313,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 # Gateway-side stages plus every worker's `stats` snapshot.
                 registry = pool.obs_snapshot()
         else:
-            with ShardedEngine(
-                pipeline, num_shards=args.shards, cache_size=args.cache_size
-            ) as engine:
-                responses = _traced_serve(engine, serve_requests)
+            engine = ColocationEngine(pipeline, cache_size=args.cache_size)
+            responses = _traced_serve(engine, serve_requests)
             registry = tracer.registry
     slowest = max(
         (response for response in responses if response.trace is not None),
@@ -454,14 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--judge",
         choices=registry_mod.names("judge"),
-        default=None,
+        default="hisrect",
         help="judge registry name (default: hisrect)",
-    )
-    train.add_argument(
-        "--mode",
-        choices=sorted(MODE_TO_JUDGE),
-        default=None,
-        help="deprecated; use --judge",
     )
     train.add_argument("--ssl-iterations", type=int, default=240)
     train.add_argument("--judge-epochs", type=int, default=30)
@@ -499,9 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(func=cmd_experiment)
 
     serve_bench = subparsers.add_parser(
-        "serve-bench", help="race single-engine vs. sharded micro-batched serving"
+        "serve-bench", help="race sequential vs. micro-batched engine serving"
     )
-    serve_bench.add_argument("--shards", type=int, default=4, help="engine shards")
     serve_bench.add_argument("--requests", type=int, default=384, help="requests to serve")
     serve_bench.add_argument("--pairs", type=int, default=4, help="pairs per request")
     serve_bench.add_argument("--users", type=int, default=256, help="distinct users in the mix")
@@ -526,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = subparsers.add_parser(
         "metrics", help="trace a small serving load and dump the metrics registry"
     )
-    metrics.add_argument("--shards", type=int, default=4, help="engine shards")
     metrics.add_argument("--requests", type=int, default=96, help="requests to trace")
     metrics.add_argument("--pairs", type=int, default=4, help="pairs per request")
     metrics.add_argument("--users", type=int, default=64, help="distinct users in the mix")

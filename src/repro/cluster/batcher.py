@@ -75,13 +75,13 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Async request coalescer over a (sharded or single) engine.
+    """Async request coalescer over an engine or a worker pool.
 
     Parameters
     ----------
     engine:
-        A :class:`repro.cluster.ShardedEngine` or
-        :class:`repro.api.ColocationEngine` — anything exposing
+        A :class:`repro.api.ColocationEngine` or
+        :class:`repro.cluster.WorkerPool` — anything exposing
         ``predict_proba`` / ``probability_matrix`` / ``warm``.
     max_batch:
         Flush as soon as this many work items (pairs + profiles) are queued.
@@ -249,7 +249,7 @@ class MicroBatcher:
         if not hasattr(self.engine, "serve"):
             raise ConfigurationError(
                 "the engine does not expose serve(request); "
-                "wrap the judge in a ColocationEngine or ShardedEngine"
+                "wrap the judge in a ColocationEngine or WorkerPool"
             )
         if request.threshold is not None and not 0.0 <= request.threshold <= 1.0:
             raise ConfigurationError("request threshold must lie in [0, 1]")
@@ -274,7 +274,7 @@ class MicroBatcher:
         if not hasattr(self.engine, "invalidate"):
             raise ConfigurationError(
                 "the engine does not expose invalidate(uids); "
-                "wrap the judge in a ColocationEngine, ShardedEngine or WorkerPool"
+                "wrap the judge in a ColocationEngine or WorkerPool"
             )
         uids = [int(uid) for uid in uids]
         return self._submit("invalidate", ("uids", uids), len(uids))
@@ -284,7 +284,7 @@ class MicroBatcher:
         if not hasattr(self.engine, "invalidate_stale"):
             raise ConfigurationError(
                 "the engine does not expose invalidate_stale(); "
-                "wrap the judge in a ColocationEngine, ShardedEngine or WorkerPool"
+                "wrap the judge in a ColocationEngine or WorkerPool"
             )
         return self._submit("invalidate", ("stale", None), 1)
 

@@ -1,16 +1,15 @@
 """:class:`WorkerPool` — the process-worker tier behind an asyncio gateway.
 
-The third serving tier.  :class:`repro.api.ColocationEngine` is one process,
-:class:`repro.cluster.ShardedEngine` is one process with shard threads — both
-sit under the GIL, so featurization never runs truly in parallel.  The pool
-spawns ``num_workers`` **worker processes** (:mod:`repro.cluster.worker`),
-each rebuilt from the fitted judge via the save/load bundle and owning one
-hash slice of the user population (the same :func:`repro.cluster.shard_index`
-routing the thread tier uses, so a thread shard and a process worker agree on
-ownership), and fronts them with an asyncio event loop that fans each batch's
+The partitioned serving tier.  :class:`repro.api.ColocationEngine` (alone or
+behind a :class:`repro.cluster.MicroBatcher`) is one process under the GIL,
+so featurization never runs truly in parallel.  The pool spawns
+``num_workers`` **worker processes** (:mod:`repro.cluster.worker`), each
+rebuilt from the fitted judge via the save/load bundle and owning one hash
+slice of the user population (routed by :func:`shard_index`, a stable uid
+hash), and fronts them with an asyncio event loop that fans each batch's
 feature gather out across worker sockets concurrently.
 
-**One decision path, now four transports.**  The pool does not reimplement
+**One decision path, three transports.**  The pool does not reimplement
 judgement: it instantiates the same :class:`repro.api.JudgementCore` the
 other tiers run, parameterized on a *wire* gather (profiles JSON out, raw
 numpy feature rows back — deduplicated per owner before they touch a socket)
@@ -44,9 +43,11 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import secrets
 import tempfile
 import threading
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,7 +58,6 @@ from repro.api.engine import ColocationEngine, EngineCacheInfo
 from repro.api.messages import JudgeRequest, JudgeResponse
 from repro.cluster import wire
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.sharded import route_snapshot_rows, shard_arena_dir, shard_index
 from repro.cluster.worker import save_judge_bundle, worker_main
 from repro.core.protocols import (
     ProfileKey,
@@ -73,6 +73,75 @@ from repro.obs import (
     MetricsRegistry,
     get_tracer,
 )
+
+
+def shard_index(key: "ProfileKey | int", num_owners: int) -> int:
+    """The owning shard of a profile key (or bare uid): a stable uid hash.
+
+    CRC-32 of the uid's canonical big-endian two's-complement bytes —
+    deterministic across processes and platforms (builtin ``hash`` is salted
+    per process), uniform enough for load spreading, and a function of the
+    *user* only, so every profile version a user emits shares a shard with
+    its history.  A bare ``int`` routes identically to any key of that uid —
+    which is what lets ``invalidate(uids)`` find a user's owner without
+    having any of their profiles in hand.
+
+    The encoding is variable-length with an 8-byte floor: every uid in the
+    signed 64-bit range keeps the fixed 8-byte encoding (so snapshots taken
+    before the width fix still restore onto the same shards), and wider uids
+    take exactly as many bytes as their two's-complement value needs — one
+    canonical encoding per integer, so any int routes stably instead of
+    raising ``OverflowError``.
+    """
+    uid = int(key) if isinstance(key, int) else int(key[0])
+    # Minimal two's-complement width in bits (value bits + one sign bit),
+    # floored at 64 so in-range uids keep the legacy 8-byte encoding.
+    bits = (uid.bit_length() if uid >= 0 else (~uid).bit_length()) + 1
+    length = max(8, (bits + 7) // 8)
+    return zlib.crc32(uid.to_bytes(length, "big", signed=True)) % num_owners
+
+
+def shard_arena_dir(
+    root: "str | os.PathLike | None", index: int, prefix: str = "shard"
+) -> str | None:
+    """The arena slice directory of one shard/worker under a shared root.
+
+    Slices are per-owner subdirectories (``shard-003``, ``worker-001``)
+    because each arena file has exactly one writer; the shared *root* is
+    what a whole cluster points at to warm-start.  ``None`` root → no arena.
+    """
+    if root is None:
+        return None
+    return os.path.join(os.fspath(root), f"{prefix}-{index:03d}")
+
+
+def route_snapshot_rows(
+    snapshot: tuple[dict[ProfileKey, np.ndarray], ...], num_owners: int
+) -> list[dict[ProfileKey, np.ndarray]]:
+    """Re-route per-shard cache exports onto ``num_owners`` owner slots.
+
+    Every row lands on its key's stable-hash owner, so a snapshot taken at
+    one shard/worker count restores correctly into another.  Source exports
+    are interleaved position-wise (each source's coldest rows first, its
+    hottest last) so when the restored capacity is smaller, the LRU bound
+    evicts the approximately coldest rows across the whole snapshot rather
+    than whichever source happened to import first.  Used by
+    :meth:`WorkerPool.restore`.
+    """
+    routed: list[dict[ProfileKey, np.ndarray]] = [{} for _ in range(num_owners)]
+    iterators = [iter(rows.items()) for rows in snapshot]
+    while iterators:
+        remaining = []
+        for iterator in iterators:
+            item = next(iterator, None)
+            if item is None:
+                continue
+            key, row = item
+            routed[shard_index(key, num_owners)][key] = row
+            remaining.append(iterator)
+        iterators = remaining
+    return routed
+
 
 #: How long a HELLO handshake may take once a connection is accepted.
 _HELLO_TIMEOUT = 30.0
@@ -107,8 +176,9 @@ class WorkerPool:
     num_workers:
         Worker processes (each with its own feature-cache slice).
     cache_size:
-        **Total** feature-row budget, split evenly across workers — the same
-        fairness rule as :class:`repro.cluster.ShardedEngine`.
+        **Total** feature-row budget, split evenly across workers, so a pool
+        and a single engine with the same ``cache_size`` hold the same
+        number of rows and compare fairly.
     threshold / batch_size:
         As on :class:`ColocationEngine`; both also forwarded to the workers
         so their direct wire surface decides identically.
@@ -199,7 +269,6 @@ class WorkerPool:
             gather=self._resolve_features,
             scorer=self._local._score_batched,
             explicit_threshold=threshold,
-            fallback_judge=judge,
         )
         #: Rows to warm-start a respawned worker with, per worker index —
         #: refreshed by snapshot() and restore().
@@ -616,10 +685,6 @@ class WorkerPool:
             except (WorkerCrashError, ConfigurationError):
                 infos.append(zero)
         return tuple(infos)
-
-    #: :class:`ClusterMetrics` discovers per-shard breakdowns through this
-    #: name; a worker is the process-tier shard.
-    shard_cache_infos = worker_cache_infos
 
     def worker_obs_snapshots(self) -> tuple[dict, ...]:
         """Each worker's metrics-registry snapshot via the ``stats`` wire op.

@@ -1,6 +1,7 @@
-"""Skewed serving-load generator and the single-vs-sharded throughput harness.
+"""Skewed serving-load generator and the sequential-vs-batched throughput harness.
 
-The shared core behind ``benchmarks/bench_sharded_serving.py`` and the CLI's
+The shared core behind ``benchmarks/bench_batched_serving.py``,
+``benchmarks/bench_worker_serving.py`` and the CLI's
 ``serve-bench`` subcommand.  It models the streaming workload every service
 produces:
 
@@ -9,28 +10,28 @@ produces:
   resident candidate profiles drawn from a fixed pool;
 * users are sampled from a seeded Zipf-like distribution (``p(rank k) ∝
   k^-s``), so a head of hot users dominates the mix the way real traffic
-  does — which is precisely what per-flush deduplication and per-user shard
-  caches exploit.
+  does — which is precisely what per-flush deduplication exploits.
 
-Two serving paths run the *same* request sequence from a cold cache:
+The serving paths run the *same* request sequence from a cold cache, with
+the same *total* cache budget:
 
-* **single** — today's synchronous path: one ``predict_proba`` call per
-  request on one :class:`repro.api.ColocationEngine` (caller-sized batches);
-* **cluster** — a :class:`repro.cluster.MicroBatcher` coalescing concurrent
-  requests over a :class:`repro.cluster.ShardedEngine`, with the same *total*
-  cache budget;
+* **single** — the synchronous path: one ``predict_proba`` call per request
+  on one :class:`repro.api.ColocationEngine` (caller-sized batches);
+* **batched** — a :class:`repro.cluster.MicroBatcher` coalescing concurrent
+  requests over one engine, the in-process serving stack;
 * **workers** (``num_workers`` set) — the same micro-batcher over a
   :class:`repro.cluster.WorkerPool`, so featurization leaves the GIL and runs
-  in worker *processes* — the tier that scales with cores.
+  in worker *processes*.
 
-The harness also pins correctness: the sharded engine's direct
-``predict_proba`` must match the single engine bit-for-bit, and the
+The harness also pins correctness: the batched engine's direct
+``predict_proba`` must match the sequential engine bit-for-bit, and the
 micro-batched results may differ only by last-mantissa-bit coalescing noise
 (one BLAS call of a different shape).
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ from repro.api.engine import EngineCacheInfo
 from repro.cluster.batcher import MicroBatcher
 from repro.cluster.gateway import WorkerPool
 from repro.cluster.metrics import ClusterMetricsSnapshot
-from repro.cluster.sharded import ShardedEngine
 from repro.data.records import Pair, Profile, Tweet, Visit
 from repro.errors import ConfigurationError
 from repro.obs import format_stage_table, tracing
@@ -135,7 +135,7 @@ def generate_requests(registry, corpus: list[str], config: LoadConfig) -> list[l
     if not words:
         words = ["here", "now"]
     probabilities = _zipf_probabilities(config.num_users, config.zipf_s)
-    #: Zipf ranks map to shuffled uids so the hot users spread over shards.
+    #: Zipf ranks map to shuffled uids so the hot users spread over workers.
     uids = rng.permutation(config.num_users)
     residents = [
         _profile(registry, rng, words, int(uid), ts=1e6, history_len=config.history_len)
@@ -160,7 +160,7 @@ def generate_requests(registry, corpus: list[str], config: LoadConfig) -> list[l
 def run_single(
     engine: ColocationEngine, requests: list[list[Pair]], *, trace: bool = False
 ) -> tuple[ServingRun, list[np.ndarray]]:
-    """Today's path: one synchronous ``predict_proba`` call per request.
+    """The sequential path: one synchronous ``predict_proba`` call per request.
 
     With ``trace=True`` the run executes under a scoped tracer (fresh
     registry) and the returned :class:`ServingRun` carries the per-stage
@@ -186,8 +186,8 @@ def run_single(
     )
 
 
-def run_cluster(
-    engine: ShardedEngine,
+def run_batched(
+    engine: "ColocationEngine | WorkerPool",
     requests: list[list[Pair]],
     *,
     max_batch: int = 256,
@@ -195,14 +195,18 @@ def run_cluster(
     max_queue: int = 512,
     trace: bool = False,
 ) -> tuple[ServingRun, list[np.ndarray], ClusterMetricsSnapshot]:
-    """The cluster path: concurrent submissions coalesced by a MicroBatcher.
+    """Concurrent submissions coalesced by a MicroBatcher over ``engine``.
 
     Requests are submitted as fast as the bounded queue admits them
     (``overflow="block"`` backpressure), so the batcher coalesces whatever
     accumulates while each flush is in flight — the steady state of a busy
     service.  The tracing scope encloses the batcher's whole lifetime so
-    the flusher thread's ``queue_wait`` records land in the run's registry.
+    the flusher thread's ``queue_wait`` records land in the run's registry;
+    over a :class:`WorkerPool` the stage table also merges every worker's
+    ``stats`` snapshot (``gather``, ``featurize``) via
+    :meth:`WorkerPool.obs_snapshot`.
     """
+    pool = engine if isinstance(engine, WorkerPool) else None
     stages = None
     with tracing() if trace else nullcontext() as tracer:
         with MicroBatcher(
@@ -217,14 +221,17 @@ def run_cluster(
             results = [future.result() for future in futures]
             elapsed = time.perf_counter() - started
         if trace:
-            stages = format_stage_table(tracer.registry)
+            stages = format_stage_table(
+                pool.obs_snapshot() if pool is not None else tracer.registry
+            )
     # Snapshot after close(): the flusher records a flush's metrics *after*
     # resolving its futures, so a snapshot taken the moment the last result
     # lands can miss the final flush; close() joins the flusher first.
     snapshot = batcher.metrics.snapshot()
+    label = "engine" if pool is None else f"workers x{pool.num_workers}"
     return (
         ServingRun(
-            label=f"sharded x{engine.num_shards} + micro-batch",
+            label=f"{label} + micro-batch",
             elapsed_s=elapsed,
             requests=len(requests),
             pairs=sum(len(r) for r in requests),
@@ -236,77 +243,37 @@ def run_cluster(
     )
 
 
-def run_workers(
-    pool: WorkerPool,
-    requests: list[list[Pair]],
-    *,
-    max_batch: int = 256,
-    max_delay_ms: float = 0.0,
-    max_queue: int = 512,
-    trace: bool = False,
-) -> tuple[ServingRun, list[np.ndarray], ClusterMetricsSnapshot]:
-    """The process tier: the same micro-batched submission over a WorkerPool.
-
-    Identical batching knobs to :func:`run_cluster`, so the only variable is
-    the transport underneath — shard threads vs. worker processes.  A traced
-    run's stage table merges the gateway-side registry (``queue_wait``,
-    ``wire_serialize``, ``wire_rtt``, ``score``) with every worker's
-    ``stats`` snapshot (``gather``, ``featurize``) via
-    :meth:`WorkerPool.obs_snapshot`.
-    """
-    stages = None
-    with tracing() if trace else nullcontext():
-        with MicroBatcher(
-            pool,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            max_queue=max_queue,
-            overflow="block",
-        ) as batcher:
-            started = time.perf_counter()
-            futures = [batcher.submit_score(pairs) for pairs in requests]
-            results = [future.result() for future in futures]
-            elapsed = time.perf_counter() - started
-        if trace:
-            stages = format_stage_table(pool.obs_snapshot())
-    snapshot = batcher.metrics.snapshot()
-    return (
-        ServingRun(
-            label=f"workers x{pool.num_workers} + micro-batch",
-            elapsed_s=elapsed,
-            requests=len(requests),
-            pairs=sum(len(r) for r in requests),
-            cache=pool.cache_info(),
-            stages=stages,
-        ),
-        results,
-        snapshot,
+def _max_drift(expected: list[np.ndarray], got: list[np.ndarray]) -> float:
+    return max(
+        ((float(np.abs(a - b).max()) if len(a) else 0.0) for a, b in zip(expected, got)),
+        default=0.0,
     )
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Single-vs-cluster throughput over the same cold-cache request sequence."""
+    """Sequential vs. micro-batched serving over the same cold-cache requests."""
 
     single: ServingRun
-    cluster: ServingRun
+    batched: ServingRun
     metrics: ClusterMetricsSnapshot
-    #: ``ShardedEngine.predict_proba`` agrees bit-for-bit with the single
-    #: engine on every request (checked on a fresh, cold sharded engine).
+    #: The batched engine's direct ``predict_proba`` — scoring rows its
+    #: coalesced flushes featurized and cached — agrees bit-for-bit with
+    #: the sequential engine on every request: how a batch was partitioned
+    #: never changes a feature row.
     exact_match: bool
     #: Largest |Δ probability| between the micro-batched results and the
-    #: single engine.  Coalescing flushes many requests as one BLAS call of a
-    #: different shape, which may flip the last mantissa bit (~1e-16); the
-    #: sharding itself contributes nothing (see ``exact_match``).
+    #: sequential engine.  Coalescing flushes many requests as one BLAS call
+    #: of a different shape, which may flip the last mantissa bit (~1e-16).
     coalescing_drift: float
-    #: The typed ``serve`` path agrees across all three transports: the
-    #: sharded engine's direct serve matches the single engine bit-for-bit
-    #: (probabilities, decisions and thresholds), and decisions through the
-    #: micro-batcher's ``submit_serve`` match except where a probability
-    #: sits within coalescing drift of an explicit threshold.
+    #: The typed ``serve`` path agrees across the engine and the batcher:
+    #: the batched engine's direct serve matches the sequential engine
+    #: bit-for-bit (probabilities, decisions and thresholds), and decisions
+    #: through the micro-batcher's ``submit_serve`` match except where a
+    #: probability sits within coalescing drift of an explicit threshold.
     serve_exact: bool
     #: Largest |Δ probability| between ``submit_serve`` responses and the
-    #: single engine's serve (the serve twin of ``coalescing_drift``).
+    #: sequential engine's serve (the serve twin of ``coalescing_drift``).
     serve_drift: float
     #: The process tier's run (``None`` unless ``num_workers`` was set).
     workers: ServingRun | None = None
@@ -321,27 +288,19 @@ class ComparisonReport:
 
     @property
     def speedup(self) -> float:
-        return (
-            self.single.elapsed_s / self.cluster.elapsed_s
-            if self.cluster.elapsed_s > 0
-            else float("inf")
-        )
+        """Engine + micro-batch throughput over the sequential engine."""
+        return _ratio(self.single, self.batched)
 
     @property
     def workers_speedup(self) -> float | None:
-        if self.workers is None:
-            return None
-        return (
-            self.single.elapsed_s / self.workers.elapsed_s
-            if self.workers.elapsed_s > 0
-            else float("inf")
-        )
+        """Workers + micro-batch throughput over engine + micro-batch."""
+        return None if self.workers is None else _ratio(self.batched, self.workers)
 
     def format(self) -> str:
         lines = [
             f"{'path':<28} {'elapsed s':>10} {'req/s':>10} {'pairs/s':>10} {'hit_rate':>9}",
         ]
-        runs = [self.single, self.cluster] + ([self.workers] if self.workers else [])
+        runs = [self.single, self.batched] + ([self.workers] if self.workers else [])
         for run in runs:
             lines.append(
                 f"{run.label:<28} {run.elapsed_s:>10.3f} {run.requests_per_s:>10.1f} "
@@ -350,7 +309,7 @@ class ComparisonReport:
         lines.append("")
         lines.append(
             f"throughput speedup: {self.speedup:.2f}x  "
-            f"(sharded probabilities bit-for-bit: {'yes' if self.exact_match else 'NO'}, "
+            f"(batched engine probabilities bit-for-bit: {'yes' if self.exact_match else 'NO'}, "
             f"micro-batch coalescing drift: {self.coalescing_drift:.1e})"
         )
         lines.append(
@@ -359,7 +318,7 @@ class ComparisonReport:
         )
         if self.workers is not None:
             lines.append(
-                f"process tier: speedup={self.workers_speedup:.2f}x "
+                f"process tier: {self.workers_speedup:.2f}x of engine + micro-batch "
                 f"bit-for-bit: {'yes' if self.workers_exact else 'NO'} "
                 f"drift: {self.workers_drift:.1e} "
                 f"serve exact: {'yes' if self.workers_serve_exact else 'NO'}"
@@ -373,11 +332,15 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
+def _ratio(baseline: ServingRun, candidate: ServingRun) -> float:
+    """How many times faster ``candidate`` served than ``baseline``."""
+    return baseline.elapsed_s / candidate.elapsed_s if candidate.elapsed_s > 0 else float("inf")
+
+
 def compare_serving_paths(
     judge,
     requests: list[list[Pair]],
     *,
-    num_shards: int = 4,
     cache_size: int = 4096,
     max_batch: int = 256,
     max_delay_ms: float = 0.0,
@@ -385,63 +348,59 @@ def compare_serving_paths(
     num_workers: int | None = None,
     trace: bool = False,
 ) -> ComparisonReport:
-    """Run both serving paths cold and compare throughput and results.
+    """Run the serving paths cold and compare throughput and results.
 
     ``trace=True`` runs every timed pass under a scoped tracer and attaches
     per-stage latency tables to the report; the default keeps the headline
     numbers untraced (tracing costs a few percent of throughput at most,
     but the benchmark guards compare against historical untraced numbers).
 
-    Three passes: the single engine (throughput baseline), the micro-batched
-    cluster (throughput), and an un-timed direct pass over a fresh cold
-    :class:`ShardedEngine` pinning the bit-for-bit contract without the
-    batcher's shape-dependent coalescing in the way.  With ``num_workers``
-    set, a fourth pass runs the same micro-batched load over a cold
-    :class:`WorkerPool` (the process tier) and pins its parity too.
+    Two timed passes over the same cache budget: the sequential engine (one
+    ``predict_proba`` per request) and one engine behind a
+    :class:`MicroBatcher`.  Un-timed direct passes over the batched engine
+    then pin the bit-for-bit and serve-parity contracts.  With
+    ``num_workers`` set, a third timed pass runs the same micro-batched load
+    over a cold :class:`WorkerPool` (the process tier) and pins its parity
+    too.
 
-    Every engine is constructed — and every shard's judge replica
-    deep-copied — *before* the first pass runs: the judge's internal
-    featurizer caches (history cache, text-vectorizer LRU) warm up during
-    the single-engine pass, and replicas copied afterwards would inherit
-    that warmth and fake part of the cluster's speedup.  (Worker processes
-    are immune: they rebuild the judge from the saved bundle.)
+    The batched engine drives a deep copy of the judge taken *before* the
+    sequential pass runs: the judge's internal featurizer caches (history
+    cache, text-vectorizer LRU) warm up during the sequential pass, and a
+    judge shared with it (or copied afterwards) would inherit that warmth
+    and fake part of the batcher's speedup.  (Worker processes are immune:
+    they rebuild the judge from the saved bundle.)
     """
     single_engine = ColocationEngine(judge, cache_size=cache_size)
-    with ShardedEngine(judge, num_shards=num_shards, cache_size=cache_size) as sharded, ShardedEngine(
-        judge, num_shards=num_shards, cache_size=cache_size
-    ) as fresh:
+    batched_engine = ColocationEngine(copy.deepcopy(judge), cache_size=cache_size)
+    try:
         single, single_results = run_single(single_engine, requests, trace=trace)
-        cluster, cluster_results, snapshot = run_cluster(
-            sharded,
+        batched, batched_results, snapshot = run_batched(
+            batched_engine,
             requests,
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             max_queue=max_queue,
             trace=trace,
         )
-        drift = max(
-            (
-                (float(np.abs(a - b).max()) if len(a) else 0.0)
-                for a, b in zip(single_results, cluster_results)
-            ),
-            default=0.0,
-        )
+        drift = _max_drift(single_results, batched_results)
         exact = all(
-            np.array_equal(single_result, fresh.predict_proba(pairs))
+            np.array_equal(single_result, batched_engine.predict_proba(pairs))
             for single_result, pairs in zip(single_results, requests)
         )
         serve_exact, serve_drift = _serve_parity(
             single_engine,
-            fresh,
-            sharded,
+            batched_engine,
             requests,
             max_batch=max_batch,
             max_queue=max_queue,
         )
+    finally:
+        single_engine.close()
+        batched_engine.close()
     workers = workers_exact = workers_drift = workers_serve_exact = None
     if num_workers is not None:
         with WorkerPool(judge, num_workers=num_workers, cache_size=cache_size) as pool:
-            workers, worker_results, _ = run_workers(
+            workers, worker_results, _ = run_batched(
                 pool,
                 requests,
                 max_batch=max_batch,
@@ -449,13 +408,7 @@ def compare_serving_paths(
                 max_queue=max_queue,
                 trace=trace,
             )
-            workers_drift = max(
-                (
-                    (float(np.abs(a - b).max()) if len(a) else 0.0)
-                    for a, b in zip(single_results, worker_results)
-                ),
-                default=0.0,
-            )
+            workers_drift = _max_drift(single_results, worker_results)
             # Un-timed direct passes (results are cache-state independent):
             # the wire gather must contribute nothing to the probabilities,
             # and the pool's typed serve must match the single engine.
@@ -463,11 +416,7 @@ def compare_serving_paths(
                 np.array_equal(single_result, pool.predict_proba(pairs))
                 for single_result, pairs in zip(single_results, requests)
             )
-            step = max(1, len(requests) // 24)
-            sample = [
-                JudgeRequest(pairs=tuple(pairs), threshold=(None if index % 2 == 0 else 0.4))
-                for index, pairs in enumerate(requests[::step])
-            ]
+            sample = _serve_sample(requests)
             workers_serve_exact = all(
                 got.probabilities == expected.probabilities
                 and got.decisions == expected.decisions
@@ -479,7 +428,7 @@ def compare_serving_paths(
             )
     return ComparisonReport(
         single=single,
-        cluster=cluster,
+        batched=batched,
         metrics=snapshot,
         exact_match=exact,
         coalescing_drift=drift,
@@ -490,6 +439,15 @@ def compare_serving_paths(
         workers_drift=workers_drift,
         workers_serve_exact=workers_serve_exact,
     )
+
+
+def _serve_sample(requests: list[list[Pair]], samples: int = 24) -> list[JudgeRequest]:
+    """Every ``len/samples``-th request, alternating default and explicit thresholds."""
+    step = max(1, len(requests) // samples)
+    return [
+        JudgeRequest(pairs=tuple(pairs), threshold=(None if index % 2 == 0 else 0.4))
+        for index, pairs in enumerate(requests[::step])
+    ]
 
 
 def _decisions_match_modulo_drift(
@@ -513,43 +471,37 @@ def _decisions_match_modulo_drift(
 
 def _serve_parity(
     single_engine: ColocationEngine,
-    sharded_direct: ShardedEngine,
-    sharded_batched: ShardedEngine,
+    batched_engine: ColocationEngine,
     requests: list[list[Pair]],
     *,
     max_batch: int,
     max_queue: int,
-    samples: int = 24,
 ) -> tuple[bool, float]:
     """The typed-serve twin of the bit-for-bit / drift checks.
 
     A sample of the request stream (alternating default and explicit
-    per-request thresholds) is served three ways: the single engine, the
-    sharded engine directly (must match bit-for-bit — probabilities,
-    decisions, threshold), and a micro-batcher's ``submit_serve`` front door
-    over the sharded engine (decisions must match modulo a threshold graze —
-    see :func:`_decisions_match_modulo_drift`; probabilities may carry the
-    usual shape-dependent coalescing drift, which is returned for the caller
-    to bound).  Results are cache-state independent, so the warm engines
-    from the throughput passes serve fine.
+    per-request thresholds) is served three ways: the sequential engine,
+    the batched engine directly (must match bit-for-bit — probabilities,
+    decisions, threshold), and a micro-batcher's ``submit_serve`` front
+    door over the batched engine (decisions must match modulo a threshold
+    graze — see :func:`_decisions_match_modulo_drift`; probabilities may
+    carry the usual shape-dependent coalescing drift, which is returned for
+    the caller to bound).  Results are cache-state independent, so the warm
+    engines from the throughput passes serve fine.
     """
-    step = max(1, len(requests) // samples)
-    serve_requests = [
-        JudgeRequest(pairs=tuple(pairs), threshold=(None if index % 2 == 0 else 0.4))
-        for index, pairs in enumerate(requests[::step])
-    ]
+    serve_requests = _serve_sample(requests)
     single_responses = [single_engine.serve(request) for request in serve_requests]
     exact = all(
         direct.probabilities == expected.probabilities
         and direct.decisions == expected.decisions
         and direct.threshold == expected.threshold
         for direct, expected in zip(
-            (sharded_direct.serve(request) for request in serve_requests),
+            (batched_engine.serve(request) for request in serve_requests),
             single_responses,
         )
     )
     with MicroBatcher(
-        sharded_batched,
+        batched_engine,
         max_batch=max_batch,
         max_delay_ms=0.0,
         max_queue=max_queue,

@@ -59,8 +59,8 @@ class ClusterMetricsSnapshot:
     latency_p99_ms: float
     #: Merged cache statistics (``None`` when no engine is attached).
     cache: EngineCacheInfo | None
-    #: Per-shard cache statistics (empty for a single, unsharded engine).
-    shard_caches: tuple[EngineCacheInfo, ...]
+    #: Per-worker cache statistics (empty for a single engine).
+    worker_caches: tuple[EngineCacheInfo, ...]
     #: Process-tier incidents: workers that died (connection lost / killed)
     #: and respawns the gateway performed.  Always 0 for in-process tiers.
     worker_deaths: int = 0
@@ -110,9 +110,9 @@ class ClusterMetricsSnapshot:
                     f"cold_hits={self.cache.cold_hits} cold_size={self.cache.cold_size} "
                     f"promotions={self.cache.promotions} demotions={self.cache.demotions}"
                 )
-        for index, info in enumerate(self.shard_caches):
+        for index, info in enumerate(self.worker_caches):
             lines.append(
-                f"  shard {index}: size={info.size}/{info.maxsize} "
+                f"  worker {index}: size={info.size}/{info.maxsize} "
                 f"hit_rate={info.hit_rate:.3f} featurized={info.featurized}"
             )
         return "\n".join(lines)
@@ -130,8 +130,8 @@ class ClusterMetrics:
     engine:
         Optional engine whose cache statistics the snapshot should include;
         anything with ``cache_info()`` works, and engines that also expose
-        ``shard_cache_infos()`` (the :class:`repro.cluster.ShardedEngine`)
-        get per-shard breakdowns.
+        ``worker_cache_infos()`` (the :class:`repro.cluster.WorkerPool`)
+        get per-worker breakdowns.
     latency_window:
         **Ignored** (kept for call-site compatibility).  Latency percentiles
         now come from a fixed-bucket histogram whose memory never grows with
@@ -271,11 +271,11 @@ class ClusterMetrics:
         """Freeze the current counters (and live cache statistics) into one view."""
         flushes = int(self._flushes.value)
         cache = None
-        shard_caches: tuple[EngineCacheInfo, ...] = ()
+        worker_caches: tuple[EngineCacheInfo, ...] = ()
         if self._engine is not None:
-            if hasattr(self._engine, "shard_cache_infos"):
-                shard_caches = self._engine.shard_cache_infos()
-                cache = EngineCacheInfo.merge(shard_caches)
+            if hasattr(self._engine, "worker_cache_infos"):
+                worker_caches = self._engine.worker_cache_infos()
+                cache = EngineCacheInfo.merge(worker_caches)
             elif hasattr(self._engine, "cache_info"):
                 cache = self._engine.cache_info()
         if cache is not None:
@@ -297,7 +297,7 @@ class ClusterMetrics:
             latency_p90_ms=p90,
             latency_p99_ms=p99,
             cache=cache,
-            shard_caches=shard_caches,
+            worker_caches=worker_caches,
             worker_deaths=int(self._worker_deaths.value),
             worker_respawns=int(self._worker_respawns.value),
             invalidated_rows=int(self._invalidated_rows.value),

@@ -1,8 +1,8 @@
 """The shard worker: one :class:`repro.api.ColocationEngine` in its own process.
 
-Threads in :class:`repro.cluster.ShardedEngine` amortise call overhead but
-share one GIL — featurization never runs truly in parallel.  A worker is the
-process-tier shard: spawned via :func:`multiprocessing`'s ``spawn`` start
+One in-process engine shares one GIL — featurization never runs truly in
+parallel.  A worker owns one hash slice of the users of a
+:class:`repro.cluster.WorkerPool`: spawned via :func:`multiprocessing`'s ``spawn`` start
 method, it rebuilds the fitted judge from a **bundle directory** written by
 the gateway through the existing save/load path (:func:`repro.io.save_pipeline`
 for pipelines; a documented pickle fallback for judges outside that format —

@@ -44,11 +44,3 @@ __all__ = [
     "training_modes",
     "variant_pipeline_config",
 ]
-
-
-def __getattr__(name: str):
-    if name == "MODES":
-        from repro.colocation.pipeline import _deprecated_modes
-
-        return _deprecated_modes(__name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

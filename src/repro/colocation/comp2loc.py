@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.colocation.judge import HisRectCoLocationJudge
 from repro.core.protocols import (
     ProfileKey,
     profile_key,
@@ -22,6 +23,7 @@ from repro.core.protocols import (
 from repro.data.records import Pair, Profile
 from repro.errors import NotFittedError
 from repro.features.hisrect import HisRectFeaturizer, POIClassifier
+from repro.store import HotStore
 
 
 class Comp2LocJudge:
@@ -30,7 +32,9 @@ class Comp2LocJudge:
     def __init__(self, featurizer: HisRectFeaturizer, classifier: POIClassifier):
         self.featurizer = featurizer
         self.classifier = classifier
-        self._feature_cache: dict[ProfileKey, np.ndarray] = {}
+        #: Bounded LRU memo of feature rows (``put`` copies view rows, so a
+        #: cached row never pins its whole featurized batch).
+        self._feature_cache = HotStore(HisRectCoLocationJudge.FEATURE_CACHE_SIZE)
 
     def featurize_profiles(self, profiles: list[Profile]) -> np.ndarray:
         """Frozen HisRect feature rows for profiles (uncached, chunked).
@@ -41,12 +45,25 @@ class Comp2LocJudge:
         return self.featurizer.featurize_profiles(profiles)
 
     def _features(self, profiles: list[Profile]) -> np.ndarray:
-        missing = [p for p in profiles if profile_key(p) not in self._feature_cache]
+        keys = [profile_key(p) for p in profiles]
+        rows: dict[ProfileKey, np.ndarray] = {}
+        missing: dict[ProfileKey, Profile] = {}
+        for key, profile in zip(keys, profiles):
+            if key in rows or key in missing:
+                continue
+            row = self._feature_cache.get(key)
+            if row is None:
+                missing[key] = profile
+            else:
+                rows[key] = row
         if missing:
-            rows = self.featurize_profiles(missing)
-            for profile, row in zip(missing, rows):
-                self._feature_cache[profile_key(profile)] = row
-        return np.stack([self._feature_cache[profile_key(p)] for p in profiles])
+            # Rows are read back from this call's batch, not the memo: a
+            # call with more distinct profiles than the bound evicts its own
+            # early rows before the stack below.
+            for key, row in zip(missing, self.featurize_profiles(list(missing.values()))):
+                self._feature_cache.put(key, row)
+                rows[key] = row
+        return np.stack([rows[key] for key in keys])
 
     def infer_poi_indices(self, profiles: list[Profile]) -> np.ndarray:
         """Dense POI-index predictions for profiles."""

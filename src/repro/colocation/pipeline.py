@@ -243,21 +243,3 @@ class CoLocationPipeline:
             raise NotFittedError("the pipeline has no trained POI classifier")
         return Comp2LocJudge(self._require_featurizer(), self.classifier)
 
-
-def _deprecated_modes(qualname: str) -> tuple[str, ...]:
-    """Shared body of the ``MODES`` deprecation shims (here and the package)."""
-    import warnings
-
-    warnings.warn(
-        f"{qualname}.MODES is deprecated; use "
-        'repro.registry.names("strategy") or repro.colocation.training_modes() instead',
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return training_modes()
-
-
-def __getattr__(name: str):
-    if name == "MODES":
-        return _deprecated_modes(__name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,8 +56,8 @@ def featurize_in_chunks(featurizer, profiles: "list[Profile]", chunk: int = FEAT
     rows drift by ~1e-16 from their batched values.  A singleton chunk is
     therefore padded with a duplicate of its profile and the extra row
     dropped, so every row comes off the batched kernel and any partition of
-    a workload into chunks — including the per-shard miss batches of
-    :class:`repro.cluster.ShardedEngine` — yields bit-identical features.
+    a workload into chunks — including the per-worker miss batches of
+    :class:`repro.cluster.WorkerPool` — yields bit-identical features.
     """
     rows = []
     for start in range(0, len(profiles), chunk):

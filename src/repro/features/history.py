@@ -56,7 +56,7 @@ and ``delta_row`` sums with the same ``np.add.reduceat``, the delta row is
 **bit-identical** to the scratch batch row for the same history — the tests
 pin ``<= 1e-9`` but the paths agree exactly, which is what lets
 :class:`repro.service.stream.StreamScorer` seed serving caches with delta
-rows without breaking the four-transport bit-for-bit parity contract.
+rows without breaking the serving transports' bit-for-bit parity contract.
 The **batched** read path (``delta_rows``, ``HistoryDeltaTracker.rows_for``)
 is the one deliberate exception: equal-length batches sum via one batched
 matmul instead of ``reduceat`` — an order of magnitude faster per tick — so

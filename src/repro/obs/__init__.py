@@ -1,6 +1,6 @@
 """``repro.obs`` — metrics registry and request-scoped tracing.
 
-The observability layer the four serving transports share.  Two halves:
+The observability layer the three serving transports share.  Two halves:
 
 * :mod:`repro.obs.registry` — thread-safe :class:`Counter` / :class:`Gauge` /
   fixed-bucket :class:`Histogram` metrics with labeled families, JSON

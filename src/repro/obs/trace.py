@@ -2,7 +2,7 @@
 
 One :class:`Trace` is created per :class:`repro.api.JudgeRequest` inside the
 shared decision path (:meth:`repro.api.JudgementCore.serve_batch`), so every
-transport — engine, sharded, batcher, worker pool — reports the **same stage
+transport — engine, batcher, worker pool — reports the **same stage
 taxonomy** without transport-specific instrumentation:
 
 ============== ==============================================================
@@ -25,9 +25,9 @@ non-overlapping stages ``queue_wait + gather + score`` (the property
 histograms — per-lookup timings, too fine-grained to ride individual traces.
 
 Activation uses a :class:`contextvars.ContextVar`, which does **not** cross
-thread boundaries: thread-pool transports re-activate the caller's trace
-inside worker threads (see ``ShardedEngine._gather``), and the process pool
-sends the trace id across the wire and merges the worker's spans back.
+thread boundaries: code that hands work to another thread re-activates the
+caller's trace there (:meth:`Tracer.activate`), and the process pool sends
+the trace id across the wire and merges the worker's spans back.
 
 Everything is gated on :attr:`Tracer.enabled`: disabled, ``stage()`` returns
 a shared no-op context manager and costs one attribute read — the ≤5%

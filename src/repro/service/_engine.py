@@ -1,46 +1,32 @@
 """Shared engine plumbing of the service layer.
 
 Every application takes a :class:`repro.api.ColocationEngine` — or a
-:class:`repro.cluster.ShardedEngine`, which exposes the same serving surface —
-as its first argument; raw fitted judges are still accepted (and wrapped on
-the fly) so pre-engine call sites keep working, and the legacy ``judge=``
-keyword remains available behind a :class:`DeprecationWarning`.
+:class:`repro.cluster.MicroBatcher` / :class:`repro.cluster.WorkerPool`,
+which expose the same serving surface — as its first argument; raw fitted
+judges are still accepted (and wrapped on the fly) so pre-engine call sites
+keep working.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api import ColocationEngine
 from repro.errors import ConfigurationError
 
 
-def resolve_engine(engine, judge=None):
-    """Normalise a service's ``engine``/legacy ``judge`` arguments to an engine.
+def resolve_engine(engine):
+    """Normalise a service's ``engine`` argument to an engine.
 
-    A :class:`repro.cluster.ShardedEngine`, :class:`repro.cluster.MicroBatcher`
-    or :class:`repro.cluster.WorkerPool` passes through unchanged — all three
-    speak the full engine surface (``predict_proba`` /
-    ``probability_matrix`` / ``warm`` / ``serve`` / ``cache_info`` /
-    ``registry``) — so every service gains the sharded, micro-batched and
-    process-worker paths by construction.
+    A :class:`repro.cluster.MicroBatcher` or :class:`repro.cluster.WorkerPool`
+    passes through unchanged — both speak the full engine surface
+    (``predict_proba`` / ``probability_matrix`` / ``warm`` / ``serve`` /
+    ``cache_info`` / ``registry``) — so every service gains the micro-batched
+    and process-worker paths by construction.
     """
-    if judge is not None:
-        if engine is not None:
-            raise ConfigurationError("pass either engine or judge, not both")
-        warnings.warn(
-            "the judge= keyword is deprecated; pass a ColocationEngine "
-            "(or a fitted judge) as the first argument",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        engine = judge
     if engine is None:
         raise ConfigurationError("an engine (or fitted judge) is required")
     from repro.cluster.batcher import MicroBatcher
     from repro.cluster.gateway import WorkerPool
-    from repro.cluster.sharded import ShardedEngine
 
-    if isinstance(engine, (ShardedEngine, MicroBatcher, WorkerPool)):
+    if isinstance(engine, (MicroBatcher, WorkerPool)):
         return engine
     return ColocationEngine.ensure(engine)

@@ -59,18 +59,14 @@ class CommunityDetector:
     method:
         ``"modularity"`` (greedy modularity maximisation, the default) or
         ``"components"`` (plain connected components, as in Table 8).
-    judge:
-        Deprecated alias for ``engine`` (kept for pre-engine call sites).
     """
 
     def __init__(
         self,
-        engine=None,
+        engine,
         delta_t: float = 3600.0,
         edge_threshold: float = 0.5,
         method: str = "modularity",
-        *,
-        judge=None,
     ):
         if delta_t <= 0:
             raise ConfigurationError("delta_t must be positive")
@@ -78,7 +74,7 @@ class CommunityDetector:
             raise ConfigurationError("edge_threshold must lie in [0, 1]")
         if method not in ("modularity", "components"):
             raise ConfigurationError("method must be 'modularity' or 'components'")
-        self.engine = resolve_engine(engine, judge)
+        self.engine = resolve_engine(engine)
         self.delta_t = delta_t
         self.edge_threshold = edge_threshold
         self.method = method

@@ -55,25 +55,21 @@ class FriendsNotificationService:
         Minimum co-location probability that triggers a notification.
     max_distance_m:
         Optional spatial gate passed to the sliding window.
-    judge:
-        Deprecated alias for ``engine`` (kept for pre-engine call sites).
     """
 
     def __init__(
         self,
-        engine=None,
+        engine,
         registry: POIRegistry | None = None,
         friendships=(),
         delta_t: float = 3600.0,
         threshold: float = 0.5,
         max_history: int = 64,
         max_distance_m: float | None = None,
-        *,
-        judge=None,
     ):
         if not 0.0 <= threshold <= 1.0:
             raise ConfigurationError("threshold must lie in [0, 1]")
-        self.engine = resolve_engine(engine, judge)
+        self.engine = resolve_engine(engine)
         self.threshold = threshold
         self._friends: set[frozenset[int]] = set()
         for a, b in friendships:

@@ -55,24 +55,20 @@ class LocalPeopleRecommender:
         Optional pre-fitted :class:`TfidfVectorizer` used for the interest
         signal.  When omitted, one is fitted lazily on the candidate contents
         of each request.
-    judge:
-        Deprecated alias for ``engine`` (kept for pre-engine call sites).
     """
 
     def __init__(
         self,
-        engine=None,
+        engine,
         delta_t: float = 3600.0,
         colocation_weight: float = 0.7,
         vectorizer: TfidfVectorizer | None = None,
-        *,
-        judge=None,
     ):
         if delta_t <= 0:
             raise ConfigurationError("delta_t must be positive")
         if not 0.0 <= colocation_weight <= 1.0:
             raise ConfigurationError("colocation_weight must lie in [0, 1]")
-        self.engine = resolve_engine(engine, judge)
+        self.engine = resolve_engine(engine)
         self.delta_t = delta_t
         self.colocation_weight = colocation_weight
         self.vectorizer = vectorizer

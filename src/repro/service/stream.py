@@ -154,17 +154,14 @@ def _history_featurizer_from(judge):
     return featurizer
 
 
-def _seedable_featurizers(engine):
-    """``(reference_featurizer, profile -> featurizer)`` for a serving stack.
+def _seedable_featurizer(engine):
+    """The featurizer a serving stack featurizes with, if this process owns it.
 
-    Walks batcher fronts down to the engine, then resolves which featurizer
-    instance will featurize a given profile: the single engine's judge, or —
-    for a :class:`repro.cluster.ShardedEngine` with replicated judges — the
-    owner shard's replica (replicas deep-copy the fitted parameters, so rows
-    computed against the reference are bit-identical on every replica).
-    Returns ``None`` when the stack cannot be seeded from this process
-    (a :class:`repro.cluster.WorkerPool`: its featurizers live in worker
-    processes, where the engine-side revisioned cache already does the work).
+    Walks batcher fronts down to the engine and returns its judge's
+    featurizer.  Returns ``None`` when the stack cannot be seeded from this
+    process (a :class:`repro.cluster.WorkerPool`: its featurizers live in
+    worker processes, where the engine-side revisioned cache already does
+    the work).
     """
     node = engine
     for _ in range(8):  # bounded walk through wrapper fronts (MicroBatcher)
@@ -174,16 +171,7 @@ def _seedable_featurizers(engine):
         if inner is None or inner is node:
             break
         node = inner
-    shards = getattr(node, "shards", None)
-    if shards is not None and hasattr(node, "shard_of"):
-        featurizers = [_history_featurizer_from(shard.judge) for shard in shards]
-        if any(featurizer is None for featurizer in featurizers):
-            return None
-        return featurizers[0], lambda profile: featurizers[node.shard_of(profile)]
-    featurizer = _history_featurizer_from(getattr(node, "judge", node))
-    if featurizer is None:
-        return None
-    return featurizer, lambda profile: featurizer
+    return _history_featurizer_from(getattr(node, "judge", node))
 
 
 class StreamScorer:
@@ -192,9 +180,9 @@ class StreamScorer:
     Parameters
     ----------
     engine:
-        A :class:`repro.api.ColocationEngine`, a
-        :class:`repro.cluster.ShardedEngine` (the sharded path: each user's
-        features live on their owner shard) or a raw fitted judge, which is
+        A :class:`repro.api.ColocationEngine` (optionally behind a
+        :class:`repro.cluster.MicroBatcher`), a
+        :class:`repro.cluster.WorkerPool` or a raw fitted judge, which is
         wrapped.  The engine's feature cache is what keeps a profile from
         being re-featurized for every pair it participates in.
     registry:
@@ -242,14 +230,11 @@ class StreamScorer:
         self.window = SlidingPairWindow(delta_t=delta_t, max_distance_m=max_distance_m)
         self.pair_filter = pair_filter
         self._tracker: HistoryDeltaTracker | None = None
-        self._featurizer_of = None
-        if incremental:
-            resolved = _seedable_featurizers(self.engine)
-            if resolved is not None:
-                reference, self._featurizer_of = resolved
-                self._tracker = HistoryDeltaTracker(
-                    reference.history_featurizer, max_history=max_history
-                )
+        self._featurizer = _seedable_featurizer(self.engine) if incremental else None
+        if self._featurizer is not None:
+            self._tracker = HistoryDeltaTracker(
+                self._featurizer.history_featurizer, max_history=max_history
+            )
 
     @property
     def incremental(self) -> bool:
@@ -266,8 +251,7 @@ class StreamScorer:
         """
         profile = self.builder.consume(tweet)
         if self._tracker is not None:
-            featurizer = self._featurizer_of(profile)
-            featurizer.warm_history_row(profile, self._tracker.row_for(profile))
+            self._featurizer.warm_history_row(profile, self._tracker.row_for(profile))
             if tweet.is_geotagged:
                 self._tracker.append(
                     profile.uid, Visit(ts=tweet.ts, lat=tweet.lat, lon=tweet.lon)  # type: ignore[arg-type]

@@ -14,7 +14,6 @@ from conftest import REPO_ROOT, analyze_fixture, analyze_text
 from repro.analysis import Analyzer, SourceFile
 from repro.analysis.framework import collect_files, load_sources
 
-SHARDED = "src/repro/cluster/sharded.py"
 WIRE = "src/repro/cluster/wire.py"
 WORKER = "src/repro/cluster/worker.py"
 GATEWAY = "src/repro/cluster/gateway.py"
@@ -30,13 +29,13 @@ def rule_ids(findings):
 class TestDecisionPath:
     def test_good_delegating_transport_is_clean(self):
         findings = analyze_fixture(
-            "decision_path/good_delegating.py", SHARDED, rules=["decision-path"]
+            "decision_path/good_delegating.py", ENGINE, rules=["decision-path"]
         )
         assert findings == []
 
     def test_inline_threshold_cut_is_flagged(self):
         findings = analyze_fixture(
-            "decision_path/bad_inline_threshold.py", SHARDED, rules=["decision-path"]
+            "decision_path/bad_inline_threshold.py", ENGINE, rules=["decision-path"]
         )
         messages = " | ".join(finding.message for finding in findings)
         assert "ordering comparison against a threshold" in messages
@@ -45,7 +44,7 @@ class TestDecisionPath:
 
     def test_missing_surface_is_flagged(self):
         findings = analyze_fixture(
-            "decision_path/bad_missing_delegation.py", SHARDED, rules=["decision-path"]
+            "decision_path/bad_missing_delegation.py", ENGINE, rules=["decision-path"]
         )
         assert any("missing decision surface 'serve_batch'" in f.message for f in findings)
 
@@ -163,26 +162,32 @@ class TestRealTree:
         assert parse_errors == []
         assert Analyzer().run(sources) == []
 
-    def test_deleting_sharded_delegation_fails_the_check(self, repo_source):
-        real = repo_source(SHARDED)
+    def test_deleting_engine_delegation_fails_the_check(self, repo_source):
+        real = repo_source(ENGINE)
         mutated = real.replace(
             "return self._core.predict(pairs)",
             "return (self.predict_proba(pairs) >= self.threshold).astype(int)",
         )
         assert mutated != real
-        findings = Analyzer().run([SourceFile.from_text(mutated, SHARDED)])
+        findings = Analyzer().run([SourceFile.from_text(mutated, ENGINE)])
         assert "decision-path" in rule_ids(findings)
 
-        deleted = re.sub(r"    def predict\(self.*?\n\n", "", real, count=1, flags=re.S)
+        deleted = re.sub(
+            r"    def predict\(self.*?return self\._core\.predict\(pairs\)\n\n",
+            "",
+            real,
+            count=1,
+            flags=re.S,
+        )
         assert deleted != real
-        findings = Analyzer().run([SourceFile.from_text(deleted, SHARDED)])
+        findings = Analyzer().run([SourceFile.from_text(deleted, ENGINE)])
         assert any(
             "missing decision surface 'predict'" in finding.message for finding in findings
         )
 
     def test_bogus_stage_literal_fails_in_every_transport(self, repo_source):
         rogue = '\n\ndef _rogue(tracer):\n    with tracer.stage("bogus"):\n        pass\n'
-        for path in (ENGINE, SHARDED, BATCHER, GATEWAY):
+        for path in (ENGINE, BATCHER, GATEWAY):
             mutated = repo_source(path) + rogue
             findings = Analyzer().run([SourceFile.from_text(mutated, path)])
             assert "stage-taxonomy" in rule_ids(findings), path

@@ -234,8 +234,8 @@ class TestFeatureCache:
     def test_disabled_cache_gathers_both_pair_sides_once(self, fitted_pipeline, tiny_dataset):
         """Regression: predict_proba/serve used to resolve left and right
         profiles in two gather calls, so a profile appearing on both sides
-        featurized twice with caching disabled (while the sharded engine
-        gathered both sides in one call).  One shared core, one gather."""
+        featurized twice with caching disabled.  One shared core, one
+        gather."""
         from repro.api import JudgeRequest
         from repro.core import profile_key
         from repro.data.records import Pair
@@ -274,38 +274,38 @@ class TestFeatureCache:
         source = ColocationEngine(fitted_pipeline, cache_size=64)
         profiles = tiny_dataset.train.labeled_profiles[:6]
         source.warm(profiles)
-        exported = source.export_cache()
+        exported = source.store.export()
         assert len(exported) == source.cache_info().size
 
         restored = ColocationEngine(fitted_pipeline, cache_size=64)
-        assert restored.import_cache(exported) == len(exported)
+        assert restored.store.import_rows(exported) == len(exported)
         # Imported rows serve without refeaturizing, and count no lookups yet.
         assert restored.cache_info().misses == 0
         assert restored.warm(profiles) == 0
         for key, row in exported.items():
-            np.testing.assert_array_equal(restored.export_cache()[key], row)
+            np.testing.assert_array_equal(restored.store.export()[key], row)
 
     def test_import_cache_respects_the_bound(self, fitted_pipeline, tiny_dataset):
         source = ColocationEngine(fitted_pipeline, cache_size=64)
         source.warm(tiny_dataset.train.labeled_profiles[:8])
-        exported = source.export_cache()
+        exported = source.store.export()
         tiny = ColocationEngine(fitted_pipeline, cache_size=3)
-        assert tiny.import_cache(exported) == 3
+        assert tiny.store.import_rows(exported) == 3
         assert tiny.cache_info().size == 3
         disabled = ColocationEngine(fitted_pipeline, cache_size=0)
-        assert disabled.import_cache(exported) == 0
+        assert disabled.store.import_rows(exported) == 0
 
     def test_import_cache_counts_only_imported_rows(self, fitted_pipeline, tiny_dataset):
         """Evicting pre-existing rows must not subtract from the kept count."""
         source = ColocationEngine(fitted_pipeline, cache_size=64)
         profiles = tiny_dataset.train.labeled_profiles
         source.warm(profiles[:2])
-        exported = source.export_cache()
+        exported = source.store.export()
         target = ColocationEngine(fitted_pipeline, cache_size=3)
         target.warm(profiles[2:5])  # fill the target completely
-        kept = target.import_cache(exported)
+        kept = target.store.import_rows(exported)
         assert kept == 2  # both imported rows are resident...
-        resident = target.export_cache()
+        resident = target.store.export()
         assert all(key in resident for key in exported)  # ...verifiably
         assert target.cache_info().size == 3
 
@@ -314,8 +314,8 @@ class TestFeatureCache:
 
         The judge stub featurizes statelessly, so the test isolates the
         engine's own lock (the judge's internal caches are exercised
-        single-threaded in production: ShardedEngine replicates the judge
-        per shard or serialises featurization).
+        single-threaded in production: a MicroBatcher drives its engine
+        from one flusher thread).
         """
         import threading
 

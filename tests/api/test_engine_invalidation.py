@@ -11,7 +11,6 @@ superseded revisions, and every drop is visible both cumulatively
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
@@ -133,7 +132,7 @@ class TestImportedRowsAreInvalidatable:
         source = ColocationEngine(fitted_pipeline, cache_size=1024)
         source.warm(profiles)
         target = ColocationEngine(fitted_pipeline, cache_size=1024)
-        imported = target.import_cache(source.export_cache())
+        imported = target.store.import_rows(source.store.export())
         assert imported == source.cache_info().size
         victim = profiles[0].uid
         assert target.invalidate([victim]) == source.invalidate([victim])

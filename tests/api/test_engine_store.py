@@ -53,15 +53,13 @@ class TestStoreWiring:
                 fitted_pipeline, store=TieredStore(HotStore(3)), arena_dir=tmp_path
             )
 
-    def test_export_import_shims_warn_but_work(self, fitted_pipeline, profiles):
+    def test_store_export_import_round_trip(self, fitted_pipeline, profiles):
         source = ColocationEngine(fitted_pipeline, cache_size=64)
         source.warm(profiles)
-        with pytest.warns(DeprecationWarning, match="store.export"):
-            exported = source.export_cache()
+        exported = source.store.export()
         assert len(exported) == source.cache_info().size
         target = ColocationEngine(fitted_pipeline, cache_size=64)
-        with pytest.warns(DeprecationWarning, match="store.import_rows"):
-            assert target.import_cache(exported) == len(exported)
+        assert target.store.import_rows(exported) == len(exported)
         assert target.cache_info().misses == 0
 
 

@@ -58,10 +58,10 @@ class TestParser:
 
     def test_train_flags(self):
         args = build_parser().parse_args(
-            ["train", "--dataset", "d", "--out", "m", "--no-unlabeled", "--mode", "one-phase"]
+            ["train", "--dataset", "d", "--out", "m", "--no-unlabeled", "--judge", "one-phase"]
         )
         assert args.use_unlabeled is False
-        assert args.mode == "one-phase"
+        assert args.judge == "one-phase"
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -167,7 +167,6 @@ class TestExperimentCommand:
 class TestServeBenchCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve-bench"])
-        assert args.shards == 4
         assert args.requests == 384
         assert args.pairs == 4
         assert args.max_batch == 256
@@ -176,7 +175,6 @@ class TestServeBenchCommand:
         exit_code = main(
             [
                 "serve-bench",
-                "--shards", "2",
                 "--requests", "24",
                 "--pairs", "2",
                 "--users", "16",
@@ -187,7 +185,7 @@ class TestServeBenchCommand:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "single engine" in captured.out
-        assert "sharded x2 + micro-batch" in captured.out
+        assert "engine + micro-batch" in captured.out
         assert "bit-for-bit: yes" in captured.out
 
 
@@ -221,7 +219,6 @@ class TestWorkerCommand:
         exit_code = main(
             [
                 "serve-bench",
-                "--shards", "2",
                 "--workers", "2",
                 "--requests", "24",
                 "--pairs", "2",

@@ -1,9 +1,10 @@
 """Arena-backed warm starts across the cluster tiers.
 
-The tentpole behaviours: a sharded cluster pointed at its predecessor's
-arena directory serves the warm set without featurizing, and a killed
-worker process respawns by *mapping* its arena slice — zero featurize
-calls, zero rows reshipped over the wire.
+The tentpole behaviours: an engine pointed at its predecessor's arena
+directory serves the warm set without featurizing, each worker's arena
+slice holds only the users it owns, and a killed worker process respawns
+by *mapping* its arena slice — zero featurize calls, zero rows reshipped
+over the wire.
 """
 
 import os
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.api import ColocationEngine
-from repro.cluster import ShardedEngine, WorkerPool
+from repro.cluster import WorkerPool, shard_index
+from repro.core import profile_key
 from repro.errors import WorkerCrashError
+from repro.store import ArenaStore
 
 
 @pytest.fixture(scope="module")
@@ -34,48 +37,28 @@ def _wait_until(predicate, timeout=10.0):
     return predicate()
 
 
-# ------------------------------------------------------------- thread shards
+# ------------------------------------------------------------- single engine
 
 
-def test_sharded_cluster_warm_starts_from_its_arena(
+def test_engine_warm_starts_from_its_arena(
     fitted_pipeline, tiny_dataset, serving_pairs, tmp_path
 ):
     profiles = tiny_dataset.train.labeled_profiles[:12]
-    with ShardedEngine(
-        fitted_pipeline, num_shards=2, cache_size=64, arena_dir=tmp_path
-    ) as first:
-        first.warm(profiles)
-        reference = first.predict_proba(serving_pairs)
-        assert (tmp_path / "shard-000").exists()
-        assert (tmp_path / "shard-001").exists()
+    first = ColocationEngine(fitted_pipeline, cache_size=64, arena_dir=tmp_path)
+    first.warm(profiles)
+    reference = first.predict_proba(serving_pairs)
+    first.close()
 
-    with ShardedEngine(
-        fitted_pipeline, num_shards=2, cache_size=64, arena_dir=tmp_path
-    ) as restarted:
+    restarted = ColocationEngine(fitted_pipeline, cache_size=64, arena_dir=tmp_path)
+    try:
         restarted.features(profiles)
         info = restarted.cache_info()
         assert info.featurized == 0  # the whole warm set came off disk
         assert info.cold_hits == len(profiles)
         assert info.misses == 0
         assert np.array_equal(restarted.predict_proba(serving_pairs), reference)
-
-
-def test_sharded_arena_rows_land_on_their_owner_shard(
-    fitted_pipeline, tiny_dataset, tmp_path
-):
-    from repro.cluster import shard_index
-
-    profiles = tiny_dataset.train.labeled_profiles[:12]
-    with ShardedEngine(
-        fitted_pipeline, num_shards=2, cache_size=64, arena_dir=tmp_path
-    ) as cluster:
-        cluster.warm(profiles)
-        assert {cluster.shard_of(p) for p in profiles} == {0, 1}
-        # Each shard's arena slice holds exactly its own users' rows.
-        for index, shard in enumerate(cluster.shards):
-            keys = shard.store.cold.keys()
-            assert keys, "every shard owns part of this sample"
-            assert all(shard_index(key, 2) == index for key in keys)
+    finally:
+        restarted.close()
 
 
 # ----------------------------------------------------------- process workers
@@ -129,6 +112,23 @@ def test_killed_worker_respawns_from_mapped_arena_with_zero_featurize_calls(
         assert metrics.worker_deaths == 1
         assert metrics.worker_respawns == 1
         assert "tiers:" in metrics.format()
+
+
+def test_worker_arena_rows_land_on_their_owner_worker(
+    fitted_pipeline, tiny_dataset, tmp_path
+):
+    profiles = tiny_dataset.train.labeled_profiles[:12]
+    assert {shard_index(profile_key(p), 2) for p in profiles} == {0, 1}
+    with WorkerPool(
+        fitted_pipeline, num_workers=2, cache_size=64, arena_dir=str(tmp_path)
+    ) as pool:
+        pool.warm(profiles)
+    # Each worker's arena slice holds exactly its own users' rows.
+    for index in range(2):
+        with ArenaStore(tmp_path / f"worker-{index:03d}", mode="r") as arena:
+            keys = arena.keys()
+        assert keys, "every worker owns part of this sample"
+        assert all(shard_index(key, 2) == index for key in keys)
 
 
 def test_pool_without_arena_still_reships_retained_rows(fitted_pipeline, serving_pairs):

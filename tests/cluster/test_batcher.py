@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
-from repro.cluster import MicroBatcher, ShardedEngine
+from repro.cluster import MicroBatcher
 from repro.errors import ConfigurationError, EngineOverloadError
 
 
@@ -148,13 +148,6 @@ class TestCoalescing:
             assert batcher.score([]).shape == (0,)
             assert batcher.probability_matrix([]).shape == (0, 0)
             assert batcher.warm([]) == 0
-
-    def test_works_over_a_sharded_engine(self, fitted_pipeline, test_pairs):
-        single = ColocationEngine(fitted_pipeline, cache_size=512)
-        direct = single.predict_proba(test_pairs)
-        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=512) as sharded:
-            with MicroBatcher(sharded) as batcher:
-                np.testing.assert_allclose(batcher.score(test_pairs), direct, atol=1e-12)
 
 
 class TestBackpressure:

@@ -3,14 +3,14 @@
 The engine-level lifecycle is pinned in ``tests/api/test_invalidation.py``;
 this file pins what each transport adds on top:
 
-* :class:`ShardedEngine` routes ``invalidate(uids)`` to each uid's stable-hash
-  owner shard only, and ``invalidate_stale`` sweeps every shard;
 * :class:`MicroBatcher` processes invalidations **first** within a flush, so a
   mutation queued alongside requests cannot lose the race, and a request
   carrying a superseded revision re-gathers instead of reading dropped rows;
-* :class:`WorkerPool` propagates invalidation over the wire's ``INVALIDATE``
-  frame to the owner workers *and* purges its gateway-retained snapshot rows,
-  so a worker respawned after an invalidation cannot resurrect dead rows.
+* :class:`WorkerPool` routes ``invalidate(uids)`` over the wire's
+  ``INVALIDATE`` frame to each uid's stable-hash owner worker only,
+  ``invalidate_stale`` sweeps every worker, and the pool purges its
+  gateway-retained snapshot rows, so a worker respawned after an
+  invalidation cannot resurrect dead rows.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
-from repro.cluster import MicroBatcher, ShardedEngine, WorkerPool, shard_index
+from repro.cluster import MicroBatcher, WorkerPool, shard_index
 
 
 @pytest.fixture(scope="module")
@@ -68,48 +68,6 @@ def _wait_until(predicate, timeout=10.0):
             return True
         time.sleep(0.05)
     return predicate()
-
-
-class TestShardedRouting:
-    def test_invalidate_touches_only_the_owner_shard(
-        self, fitted_pipeline, serving_profiles
-    ):
-        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=1024) as sharded:
-            sharded.warm(serving_profiles)
-            victim = serving_profiles[0].uid
-            owner = shard_index(victim, sharded.num_shards)
-            before = sharded.shard_cache_infos()
-            dropped = sharded.invalidate([victim])
-            assert dropped >= 1
-            after = sharded.shard_cache_infos()
-            for index, (pre, post) in enumerate(zip(before, after)):
-                if index == owner:
-                    assert post.size == pre.size - dropped
-                    assert post.invalidated == dropped
-                else:
-                    assert post.size == pre.size
-                    assert post.invalidated == 0
-
-    def test_invalidate_stale_sweeps_every_shard(self, fitted_pipeline, latest_profiles):
-        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=1024) as sharded:
-            sharded.warm(latest_profiles)
-            successors = [
-                dataclasses.replace(p, revision=(p.revision or 0) + 1)
-                for p in latest_profiles
-            ]
-            sharded.warm(successors)
-            assert sharded.invalidate_stale() == len(latest_profiles)
-            # only the successors remain resident
-            assert sharded.warm(successors) == 0
-            assert sharded.cache_info().invalidated == len(latest_profiles)
-
-    def test_matches_single_engine_drop_counts(self, fitted_pipeline, serving_profiles):
-        reference = ColocationEngine(fitted_pipeline, cache_size=1024)
-        reference.warm(serving_profiles)
-        uids = sorted({p.uid for p in serving_profiles})
-        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=1024) as sharded:
-            sharded.warm(serving_profiles)
-            assert sharded.invalidate(uids) == reference.invalidate(uids)
 
 
 class TestBatcherOrdering:
@@ -198,6 +156,33 @@ class TestWorkerPoolPropagation:
             # re-warm featurizes exactly the dropped rows, on the owner worker
             assert pool.warm(serving_profiles) == dropped
 
+    def test_invalidate_touches_only_the_owner_worker(
+        self, fitted_pipeline, serving_profiles
+    ):
+        with WorkerPool(fitted_pipeline, num_workers=3, cache_size=1024) as pool:
+            pool.warm(serving_profiles)
+            victim = serving_profiles[0].uid
+            owner = shard_index(victim, pool.num_workers)
+            before = pool.worker_cache_infos()
+            dropped = pool.invalidate([victim])
+            assert dropped >= 1
+            after = pool.worker_cache_infos()
+            for index, (pre, post) in enumerate(zip(before, after)):
+                if index == owner:
+                    assert post.size == pre.size - dropped
+                    assert post.invalidated == dropped
+                else:
+                    assert post.size == pre.size
+                    assert post.invalidated == 0
+
+    def test_matches_single_engine_drop_counts(self, fitted_pipeline, serving_profiles):
+        reference = ColocationEngine(fitted_pipeline, cache_size=1024)
+        reference.warm(serving_profiles)
+        uids = sorted({p.uid for p in serving_profiles})
+        with WorkerPool(fitted_pipeline, num_workers=2, cache_size=1024) as pool:
+            pool.warm(serving_profiles)
+            assert pool.invalidate(uids) == reference.invalidate(uids)
+
     def test_invalidate_stale_sweeps_every_worker(self, fitted_pipeline, latest_profiles):
         with WorkerPool(fitted_pipeline, num_workers=2, cache_size=1024) as pool:
             pool.warm(latest_profiles)
@@ -208,6 +193,19 @@ class TestWorkerPoolPropagation:
             pool.warm(successors)
             assert pool.invalidate_stale() == len(latest_profiles)
             assert pool.warm(successors) == 0
+
+    def test_stale_sweep_leaves_only_successors(self, fitted_pipeline, latest_profiles):
+        with WorkerPool(fitted_pipeline, num_workers=3, cache_size=1024) as pool:
+            pool.warm(latest_profiles)
+            successors = [
+                dataclasses.replace(p, revision=(p.revision or 0) + 1)
+                for p in latest_profiles
+            ]
+            pool.warm(successors)
+            assert pool.invalidate_stale() == len(latest_profiles)
+            # only the successors remain resident
+            assert pool.warm(successors) == 0
+            assert pool.cache_info().invalidated == len(latest_profiles)
 
     def test_serve_after_invalidate_reports_the_drops(self, fitted_pipeline, serving_pairs):
         with WorkerPool(fitted_pipeline, num_workers=2, cache_size=1024) as pool:

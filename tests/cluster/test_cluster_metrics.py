@@ -1,9 +1,7 @@
 """Tests for ClusterMetrics and the EngineCacheInfo merge helper."""
 
-import numpy as np
-
 from repro.api import ColocationEngine, EngineCacheInfo
-from repro.cluster import ClusterMetrics, ShardedEngine
+from repro.cluster import ClusterMetrics, WorkerPool
 
 
 class TestEngineCacheInfoMerge:
@@ -41,7 +39,7 @@ class TestClusterMetrics:
         assert snapshot.mean_flush_requests == 0.0
         assert snapshot.latency_p50_ms == 0.0
         assert snapshot.cache is None
-        assert snapshot.shard_caches == ()
+        assert snapshot.worker_caches == ()
         assert "requests=0" in snapshot.format()
 
     def test_counters_accumulate(self):
@@ -100,12 +98,12 @@ class TestClusterMetrics:
         snapshot = ClusterMetrics(engine).snapshot()
         assert snapshot.cache is not None
         assert snapshot.cache.size > 0
-        assert snapshot.shard_caches == ()
+        assert snapshot.worker_caches == ()
 
-    def test_snapshot_pulls_per_shard_caches(self, fitted_pipeline, tiny_dataset):
-        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=96) as engine:
-            engine.warm(tiny_dataset.train.labeled_profiles[:6])
-            snapshot = ClusterMetrics(engine).snapshot()
-        assert len(snapshot.shard_caches) == 3
-        assert snapshot.cache == EngineCacheInfo.merge(snapshot.shard_caches)
-        assert "shard 0" in snapshot.format()
+    def test_snapshot_pulls_per_worker_caches(self, fitted_pipeline, tiny_dataset):
+        with WorkerPool(fitted_pipeline, num_workers=2, cache_size=96) as pool:
+            pool.warm(tiny_dataset.train.labeled_profiles[:6])
+            snapshot = ClusterMetrics(pool).snapshot()
+        assert len(snapshot.worker_caches) == 2
+        assert snapshot.cache == EngineCacheInfo.merge(snapshot.worker_caches)
+        assert "worker 0" in snapshot.format()

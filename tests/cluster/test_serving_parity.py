@@ -1,14 +1,14 @@
-"""One decision path, four transports — the shared serving parity suite.
+"""One decision path, three transports — the shared serving parity suite.
 
 Every judgement surface is served by a single :class:`repro.api.JudgementCore`
-behind four transports: the single :class:`ColocationEngine`, the
-hash-partitioned :class:`ShardedEngine`, the request-coalescing
-:class:`MicroBatcher`, and the process-tier :class:`WorkerPool` (worker
-processes rebuilt from the judge's save/load bundle, gathered over the binary
-wire protocol).  This suite parametrizes over the transports and pins the
-correctness contract once, instead of hand-mirroring it per path:
+behind three transports: the single :class:`ColocationEngine`, the
+request-coalescing :class:`MicroBatcher` in front of one, and the process-tier
+:class:`WorkerPool` (worker processes rebuilt from the judge's save/load
+bundle, gathered over the binary wire protocol).  This suite parametrizes over
+the transports and pins the correctness contract once, instead of
+hand-mirroring it per path:
 
-* engine, sharded and workers agree **bit-for-bit** (their gathers produce
+* engine and workers agree **bit-for-bit** (their gathers produce
   identical rows — save/load restores exactly, the wire moves raw float64
   bytes — and they share the scorer's exact chunking);
 * the batcher may drift by last-mantissa-bit coalescing noise only
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
-from repro.cluster import MicroBatcher, ShardedEngine, WorkerPool
+from repro.cluster import MicroBatcher, WorkerPool
 from repro.data.records import Pair, Visit
 from repro.obs import (
     STAGE_GATHER,
@@ -35,7 +35,7 @@ from repro.obs import (
 )
 
 #: Transports whose probabilities must match the reference bit-for-bit.
-EXACT = {"engine", "sharded", "workers"}
+EXACT = {"engine", "workers"}
 #: Largest |Δ probability| the batcher's shape-dependent coalescing may add.
 COALESCE_ATOL = 1e-12
 
@@ -46,21 +46,18 @@ def reference(fitted_pipeline):
     return ColocationEngine(fitted_pipeline, cache_size=1024)
 
 
-@pytest.fixture(scope="module", params=["engine", "sharded", "batcher", "workers"])
+@pytest.fixture(scope="module", params=["engine", "batcher", "workers"])
 def serving_path(request, fitted_pipeline):
-    """(name, transport) for each of the four serving paths."""
+    """(name, transport) for each of the three serving paths."""
     if request.param == "engine":
         yield request.param, ColocationEngine(fitted_pipeline, cache_size=1024)
-    elif request.param == "sharded":
-        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=1024) as sharded:
-            yield request.param, sharded
     elif request.param == "workers":
         with WorkerPool(fitted_pipeline, num_workers=2, cache_size=1024) as pool:
             yield request.param, pool
     else:
-        with ShardedEngine(fitted_pipeline, num_shards=3, cache_size=1024) as sharded:
-            with MicroBatcher(sharded, max_delay_ms=2.0, overflow="block") as batcher:
-                yield request.param, batcher
+        engine = ColocationEngine(fitted_pipeline, cache_size=1024)
+        with MicroBatcher(engine, max_delay_ms=2.0, overflow="block") as batcher:
+            yield request.param, batcher
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +208,10 @@ class TestCoalescedServes:
             )
             for i in range(8)
         ]
-        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=1024) as sharded:
-            with MicroBatcher(sharded, max_delay_ms=25.0, overflow="block") as batcher:
-                futures = [batcher.submit_serve(request) for request in requests]
-                responses = [future.result(timeout=30) for future in futures]
+        engine = ColocationEngine(fitted_pipeline, cache_size=1024)
+        with MicroBatcher(engine, max_delay_ms=25.0, overflow="block") as batcher:
+            futures = [batcher.submit_serve(request) for request in requests]
+            responses = [future.result(timeout=30) for future in futures]
         for request, response in zip(requests, responses):
             expected = reference.serve(request)
             np.testing.assert_allclose(
@@ -236,7 +233,7 @@ class TestCoalescedServes:
 
 
 class TestTraceParity:
-    """Trace propagation: one stage taxonomy across all four transports.
+    """Trace propagation: one stage taxonomy across all three transports.
 
     With tracing enabled, every transport's ``serve`` attaches a trace whose
     stages are drawn from the single canonical taxonomy — no transport
@@ -248,7 +245,6 @@ class TestTraceParity:
     #: Stages each transport must report on a cold-ish serve.
     REQUIRED = {
         "engine": {STAGE_GATHER, STAGE_SCORE},
-        "sharded": {STAGE_GATHER, STAGE_SCORE},
         "batcher": {STAGE_QUEUE_WAIT, STAGE_GATHER, STAGE_SCORE},
         "workers": {STAGE_WIRE_SERIALIZE, STAGE_WIRE_RTT, STAGE_GATHER, STAGE_SCORE},
     }

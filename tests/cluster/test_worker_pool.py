@@ -5,6 +5,8 @@ Bit-for-bit parity with the other transports lives in
 
 * the full engine surface over the wire (warm / cache_info / threshold /
   snapshot / restore / ping) and ``resolve_engine`` pass-through;
+* routing — the stable :func:`repro.cluster.shard_index` uid hash and the
+  snapshot re-routing behind ``restore`` at any worker count;
 * worker death — a killed worker fails the call in flight *and* everything
   queued behind it promptly with :class:`repro.errors.WorkerCrashError`,
   :class:`repro.cluster.ClusterMetrics` counts the incident, and with
@@ -30,8 +32,11 @@ import numpy as np
 import pytest
 
 from repro.api import ColocationEngine, JudgeRequest
-from repro.cluster import ClusterMetrics, MicroBatcher, WorkerPool
+from repro.cluster import MicroBatcher, WorkerPool, shard_index
+from repro.cluster.gateway import route_snapshot_rows
+from repro.core import profile_key
 from repro.errors import ConfigurationError, WorkerCrashError
+from repro.store import HotStore
 
 
 @pytest.fixture(scope="module")
@@ -358,3 +363,87 @@ def test_heartbeat_reports_a_dead_worker_unhealthy(fitted_pipeline, serving_pair
 def test_heartbeat_interval_validation(fitted_pipeline):
     with pytest.raises(ConfigurationError):
         WorkerPool(fitted_pipeline, num_workers=1, heartbeat_interval_ms=0.0)
+
+
+# -------------------------------------------------------------------- routing
+
+
+class TestRouting:
+    """The stable uid hash that assigns every user to one worker."""
+
+    def test_shard_index_is_stable_and_uid_only(self):
+        key_a = (7, 100.0, "coffee", 3)
+        key_b = (7, 999.0, "museum", 0)
+        assert shard_index(key_a, 4) == shard_index(key_b, 4)
+        assert 0 <= shard_index(key_a, 4) < 4
+
+    def test_shard_index_routes_uids_beyond_64_bits(self):
+        """Regression: the fixed 8-byte encoding raised OverflowError for
+        uids outside the signed 64-bit range."""
+        for uid in (2**63, -(2**63) - 1, 2**100, -(2**100), 10**30):
+            index = shard_index((uid, 1.0, "x", 0), 4)
+            assert 0 <= index < 4
+
+    def test_shard_index_keeps_legacy_routing_for_64_bit_uids(self):
+        """Cross-width stability: every uid in the signed 64-bit range keeps
+        the legacy fixed-8-byte encoding, so snapshots taken before the
+        width fix restore onto the same workers."""
+        import zlib
+
+        for uid in (0, 1, -1, 127, 128, -128, -129, 255, 2**31, 2**63 - 1, -(2**63)):
+            legacy = zlib.crc32(uid.to_bytes(8, "big", signed=True)) % 7
+            assert shard_index((uid, 0.0, "", 0), 7) == legacy
+
+    def test_shard_index_is_a_function_of_the_integer_value(self):
+        """Equal uid values route identically regardless of the integer's
+        concrete type (numpy scalars included)."""
+        for uid in (42, 2**63, -(2**40)):
+            wide = shard_index((uid, 0.0, "", 0), 5)
+            assert shard_index((int(uid), 1.0, "y", 3), 5) == wide
+        assert shard_index((np.int64(42), 0.0, "", 0), 5) == shard_index(
+            (42, 0.0, "", 0), 5
+        )
+
+    def test_every_profile_of_a_user_shares_a_shard(self, tiny_dataset):
+        by_uid = {}
+        for profile in tiny_dataset.train.labeled_profiles[:30]:
+            by_uid.setdefault(profile.uid, set()).add(shard_index(profile_key(profile), 4))
+        assert all(len(owners) == 1 for owners in by_uid.values())
+
+    def test_users_spread_over_shards(self, tiny_dataset):
+        owners = {
+            shard_index(profile_key(p), 4) for p in tiny_dataset.train.labeled_profiles
+        }
+        assert len(owners) > 1
+
+    def test_restore_into_smaller_capacity_keeps_the_hottest_rows(self):
+        """Source exports interleave coldest-first, so the LRU bound evicts
+        the approximately coldest rows across the whole snapshot."""
+
+        def key(uid):
+            return (uid, 1.0, "x", 0)
+
+        def row(uid):
+            return np.array([float(uid)])
+
+        snapshot = (
+            {key(0): row(0), key(2): row(2), key(4): row(4)},  # coldest -> hottest
+            {key(1): row(1), key(3): row(3), key(5): row(5)},
+        )
+        (routed,) = route_snapshot_rows(snapshot, 1)
+        store = HotStore(2)
+        assert store.import_rows(routed) == 2
+        assert set(store.export()) == {key(4), key(5)}  # each export's hottest row survived
+
+    def test_snapshot_restores_across_worker_counts(self, pool, serving_pairs):
+        profiles = [pair.left for pair in serving_pairs]
+        pool.warm(profiles)
+        # A snapshot as a four-worker pool would have exported it.
+        wider = tuple(route_snapshot_rows(pool.snapshot(), 4))
+        assert len(wider) == 4
+        total = sum(len(rows) for rows in wider)
+        assert pool.restore(wider) == total
+        assert pool.warm(profiles) == 0
+        # Every restored row sits on the worker its key hashes to.
+        for index, rows in enumerate(pool.snapshot()):
+            assert all(shard_index(key, pool.num_workers) == index for key in rows)

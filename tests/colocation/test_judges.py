@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.colocation import (
-    Comp2LocJudge,
     CoLocationPipeline,
     HisRectCoLocationJudge,
     JudgeConfig,
@@ -15,6 +14,7 @@ from repro.colocation import (
     partition_from_labels,
     partitions_equal,
 )
+from repro.core import profile_key
 from repro.errors import ConfigurationError, NotFittedError, TrainingError
 from repro.eval import pair_labels
 
@@ -69,6 +69,23 @@ class TestComp2Loc:
         comp2loc = fitted_pipeline.comp2loc()
         pids = comp2loc.infer_poi(tiny_dataset.test.labeled_profiles[:5])
         assert all(pid in tiny_dataset.registry for pid in pids)
+
+    def test_feature_memo_is_bounded_and_owns_its_rows(
+        self, fitted_pipeline, tiny_dataset, monkeypatch
+    ):
+        pairs = tiny_dataset.train.labeled_pairs[:12]
+        expected = fitted_pipeline.comp2loc().predict_proba(pairs)
+        cap = 4
+        monkeypatch.setattr(HisRectCoLocationJudge, "FEATURE_CACHE_SIZE", cap)
+        comp2loc = fitted_pipeline.comp2loc()
+        distinct = {profile_key(p) for pair in pairs for p in (pair.left, pair.right)}
+        assert len(distinct) > cap
+        np.testing.assert_array_equal(comp2loc.predict_proba(pairs), expected)
+        memo = comp2loc._feature_cache
+        assert len(memo) <= cap
+        assert all(row.base is None for row in memo._rows.values())
+        # Scoring again through the evicted memo still gives the same answer.
+        np.testing.assert_array_equal(comp2loc.predict_proba(pairs), expected)
 
 
 class TestOnePhase:

@@ -1,6 +1,5 @@
 """Tests for the online profile builder and the stream scorer's live paths."""
 
-import numpy as np
 import pytest
 
 from repro.data.records import Tweet
@@ -126,7 +125,7 @@ class TestStreamScorerOrdering:
         assert scorer.builder.max_history is None
 
 
-class TestStreamScorerShardedPath:
+class TestStreamScorerServingStacks:
     def test_micro_batcher_passes_through_and_scores(self, fitted_pipeline):
         """A MicroBatcher speaks the engine surface, so a service can sit
         behind the coalescing front door instead of around it."""
@@ -147,23 +146,6 @@ class TestStreamScorerShardedPath:
             assert scored
             assert all(0.0 <= s.probability <= 1.0 for s in scored)
         assert batcher.metrics.snapshot().requests > 0  # went through the flusher
-
-    def test_sharded_engine_passes_through_and_scores(self, fitted_pipeline):
-        from repro.cluster import ShardedEngine
-        from repro.service import StreamScorer
-
-        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=128) as engine:
-            scorer = StreamScorer(engine, delta_t=3600.0)
-            assert scorer.engine is engine  # resolve_engine must not re-wrap it
-            registry = engine.registry
-            tweets = [
-                poi_tweet(registry, uid=uid, ts=100.0 + uid, poi_index=uid % 2)
-                for uid in range(4)
-            ]
-            scored = scorer.process_many(tweets)
-            assert scored  # Δt-compatible cross-user pairs were judged
-            assert all(0.0 <= s.probability <= 1.0 for s in scored)
-            assert engine.cache_info().misses > 0  # featurized on the shards
 
     def test_raw_judge_still_wraps_to_a_single_engine(self, small_registry):
         from repro.api import ColocationEngine
@@ -221,24 +203,24 @@ class TestStreamScorerIncremental:
         assert got  # the stream produced judged pairs
         assert_scored_equal(got, expected)
 
-    def test_seeded_sharded_scores_are_bit_identical(self, fitted_pipeline):
-        from repro.cluster import ShardedEngine
+    def test_seeded_batcher_scores_are_bit_identical(self, fitted_pipeline):
+        from repro.api import ColocationEngine
+        from repro.cluster import MicroBatcher
         from repro.service import StreamScorer
 
-        with ShardedEngine(fitted_pipeline, num_shards=2, cache_size=512) as sharded:
-            scorer = StreamScorer(sharded, delta_t=3600.0)
-            assert scorer.incremental  # per-shard replicas are seedable
-            tweets = stream_tweets(sharded.registry)
+        engine = ColocationEngine(fitted_pipeline, cache_size=512)
+        with MicroBatcher(engine, max_delay_ms=1.0) as batcher:
+            scorer = StreamScorer(batcher, delta_t=3600.0)
+            assert scorer.incremental  # the batcher's engine is seedable
+            tweets = stream_tweets(batcher.registry)
             got = [s for tweet in tweets for s in scorer.process(tweet)]
-        from repro.api import ColocationEngine
-        from repro.service import StreamScorer as Scorer
-
-        reference = Scorer(
+        reference = StreamScorer(
             ColocationEngine(fitted_pipeline, cache_size=512),
             delta_t=3600.0,
             incremental=False,
         )
         expected = [s for tweet in stream_tweets(reference.engine.registry) for s in reference.process(tweet)]
+        assert got
         assert_scored_equal(got, expected)
 
     def test_process_many_coalesces_to_batcher_precision(self, fitted_pipeline):
@@ -288,6 +270,7 @@ class TestStreamScorerIncremental:
 
         with WorkerPool(fitted_pipeline, num_workers=1, cache_size=512) as pool:
             scorer = StreamScorer(pool, delta_t=3600.0)
+            assert scorer.engine is pool  # resolve_engine must not re-wrap it
             assert not scorer.incremental
             tweets = stream_tweets(pool.registry, n=12)
             got = [s for tweet in tweets for s in scorer.process(tweet)]

@@ -1,9 +1,8 @@
-"""Snapshot tests of the public API surface and its deprecation shims.
+"""Snapshot tests of the public API surface.
 
 These tests pin the exported names of the new top-level packages so an
-accidental rename or a dropped export fails loudly, and they prove the legacy
-entry points still work — behind a DeprecationWarning — after the engine
-redesign.
+accidental rename or a dropped export fails loudly, and they prove the
+public replacements of the retired deprecation shims work without warnings.
 """
 
 import warnings
@@ -34,7 +33,6 @@ class TestExportedNames:
             "ClusterMetrics",
             "ClusterMetricsSnapshot",
             "MicroBatcher",
-            "ShardedEngine",
             "WorkerPool",
             "shard_index",
         ]
@@ -82,42 +80,18 @@ class TestExportedNames:
     def test_top_level_lazy_exports(self):
         import repro
         from repro.api import ColocationEngine, JudgeRequest, JudgeResponse
-        from repro.cluster import MicroBatcher, ShardedEngine
+        from repro.cluster import MicroBatcher
 
         assert repro.ColocationEngine is ColocationEngine
         assert repro.JudgeRequest is JudgeRequest
         assert repro.JudgeResponse is JudgeResponse
-        assert repro.ShardedEngine is ShardedEngine
         assert repro.MicroBatcher is MicroBatcher
         with pytest.raises(AttributeError):
             repro.does_not_exist
 
 
 class TestDeprecationShims:
-    def test_colocation_modes_warns(self):
-        import repro.colocation
-
-        with pytest.warns(DeprecationWarning, match="MODES is deprecated"):
-            modes = repro.colocation.MODES
-        assert set(modes) == {"two-phase", "one-phase"}
-
-    def test_pipeline_module_modes_warns(self):
-        import repro.colocation.pipeline as pipeline_module
-
-        with pytest.warns(DeprecationWarning, match="MODES is deprecated"):
-            modes = pipeline_module.MODES
-        assert set(modes) == {"two-phase", "one-phase"}
-
-    def test_service_judge_keyword_warns_and_works(self):
-        from repro.service import CommunityDetector
-
-        class Stub:
-            def predict_proba(self, pairs):
-                return np.full(len(pairs), 0.7)
-
-        with pytest.warns(DeprecationWarning, match="judge= keyword is deprecated"):
-            detector = CommunityDetector(judge=Stub())
-        assert detector.judge.__class__ is Stub
+    """The public replacements of the retired shims work warning-free."""
 
     def test_raw_judge_positional_does_not_warn(self):
         from repro.service import LocalPeopleRecommender
@@ -131,22 +105,10 @@ class TestDeprecationShims:
             recommender = LocalPeopleRecommender(Stub())
         assert recommender.engine.judge.__class__ is Stub
 
-    def test_cli_mode_flag_warns(self):
-        import argparse
-
-        from repro.cli.main import _selected_judge
-
-        args = argparse.Namespace(mode="one-phase", judge=None)
-        with pytest.warns(DeprecationWarning, match="--mode is deprecated"):
-            assert _selected_judge(args) == "one-phase"
-        args = argparse.Namespace(mode="two-phase", judge=None)
-        with pytest.warns(DeprecationWarning):
-            assert _selected_judge(args) == "hisrect"
-
     def test_cli_judge_defaults_to_hisrect(self):
-        import argparse
+        from repro.cli.main import build_parser
 
-        from repro.cli.main import _selected_judge
-
-        assert _selected_judge(argparse.Namespace(mode=None, judge=None)) == "hisrect"
-        assert _selected_judge(argparse.Namespace(mode=None, judge="tg-ti-c")) == "tg-ti-c"
+        parser = build_parser()
+        assert parser.parse_args(["train", "--dataset", "ds"]).judge == "hisrect"
+        args = parser.parse_args(["train", "--dataset", "ds", "--judge", "tg-ti-c"])
+        assert args.judge == "tg-ti-c"
